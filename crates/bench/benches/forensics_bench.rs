@@ -64,7 +64,9 @@ fn bench_investigate(c: &mut Criterion) {
     // One forensic execution of the campaign's first iteration; the
     // benchmark then re-investigates its findings against the graph.
     let input = fuzz::FuzzInput::generate(SEED, 0);
-    let run = fuzz::execute_with_forensics(&input).expect("forensic exec");
+    let run = fuzz::ExecContext::new()
+        .execute_with_forensics(&input)
+        .expect("forensic exec");
     let findings: Vec<_> = run.incidents.iter().map(|i| i.finding.clone()).collect();
     assert!(!findings.is_empty(), "iteration 0 must produce findings");
     let mut g = c.benchmark_group("forensics");

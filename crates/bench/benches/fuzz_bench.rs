@@ -4,7 +4,7 @@
 //! observability stack, not a section of it).
 
 use criterion::{criterion_group, Criterion};
-use fuzz::{execute, run_fuzz, ExecContext, FuzzConfig, FuzzInput};
+use fuzz::{run_fuzz, ExecContext, FuzzConfig, FuzzInput};
 
 /// The pinned campaign every surface shares (CI smoke, README, tests):
 /// seed 7 for 96 iterations rediscovers all four Figure-1 classes.
@@ -16,8 +16,9 @@ fn bench_execute(c: &mut Criterion) {
     let mut g = c.benchmark_group("fuzz");
     g.sample_size(20);
     g.throughput(criterion::Throughput::Elements(1));
+    // A cold exec is a fresh context: one template boot plus the exec.
     g.bench_function("execute_one_input", |b| {
-        b.iter(|| std::hint::black_box(execute(&input).unwrap().signature))
+        b.iter(|| std::hint::black_box(ExecContext::new().execute(&input).unwrap().signature))
     });
     g.finish();
 }
@@ -26,7 +27,7 @@ fn bench_execute_warm(c: &mut Criterion) {
     let input = FuzzInput::generate(SEED, 0);
     let mut cx = ExecContext::new();
     // Prime the boot template outside the timed region so the rows
-    // compare steady-state warm execs against cold boot-per-exec ones.
+    // compare steady-state warm execs against fresh-context ones.
     cx.execute(&input).expect("prime exec context");
     let mut g = c.benchmark_group("fuzz");
     g.sample_size(20);

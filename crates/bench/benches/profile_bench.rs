@@ -4,9 +4,9 @@
 //!
 //! Timing rows:
 //!
-//! - `profile_shards_1` / `profile_shards_8` — the pinned seed-7,
-//!   96-iter profile workload per exec, single-threaded vs 8 contiguous
-//!   iteration chunks (the merged tree is byte-identical either way).
+//! - `profile_shards_1` — the pinned seed-7, 96-iter profile workload
+//!   per exec (the row keeps its historical name; the workload runs on
+//!   one context, single-threaded).
 //! - `folded_export` / `speedscope_export` — serialising the merged
 //!   tree to folded-stack lines and speedscope JSON.
 //!
@@ -27,30 +27,21 @@ const ITERS: u64 = 96;
 fn main() {
     let mut timing = Vec::new();
 
-    let mut timed_run = |shards: u32| {
-        let start = Instant::now();
-        let run = run_profile(&ProfileConfig {
-            shards,
-            ..ProfileConfig::new(SEED, ITERS)
-        })
-        .expect("profile workload");
-        let ns = (start.elapsed().as_nanos() / u128::from(ITERS)) as u64;
-        timing.push(BenchResult {
-            group: "profile".into(),
-            id: format!("profile_shards_{shards}"),
-            iters: ITERS,
-            ns_per_iter: ns,
-            throughput: Some(Throughput::Elements(1)),
-        });
-        eprintln!("== profile workload, {shards} shard(s): {ns} ns/exec ==");
-        run
-    };
+    let cfg = ProfileConfig::new(SEED, ITERS);
+    let start = Instant::now();
+    let run = run_profile(&cfg).expect("profile workload");
+    let ns = (start.elapsed().as_nanos() / u128::from(ITERS)) as u64;
+    timing.push(BenchResult {
+        group: "profile".into(),
+        id: "profile_shards_1".into(),
+        iters: ITERS,
+        ns_per_iter: ns,
+        throughput: Some(Throughput::Elements(1)),
+    });
+    eprintln!("== profile workload: {ns} ns/exec ==");
 
-    let run = timed_run(1);
-    let rerun = timed_run(8);
-
-    // Byte-identity across both the rerun and the shard split: one
-    // verdict covers determinism and merge associativity at once.
+    // Two-run byte-identity of the folded output.
+    let rerun = run_profile(&cfg).expect("profile workload rerun");
     let folded_identical = run.profile.folded() == rerun.profile.folded();
 
     let start = Instant::now();

@@ -7,9 +7,10 @@
 //!   write cost for a snapshot captured at two corpus scales.
 //! - `checkpoint_load` — validate-and-parse cost of the newest
 //!   generation.
-//! - `exec_plain` vs `exec_guarded` — the same input through the bare
-//!   executor and through `catch_unwind` + watchdog budget; their ratio
-//!   is the `guard_overhead_x` the campaign pays on every iteration.
+//! - `exec_plain` vs `exec_guarded` — the same input on a fresh
+//!   execution context, bare and through `catch_unwind` + watchdog
+//!   budget; their ratio is the `guard_overhead_x` the campaign pays on
+//!   every iteration.
 //!
 //! The deterministic half re-runs the kill-and-resume experiment and
 //! records its verdict, so the bench file also witnesses the
@@ -19,8 +20,7 @@ use criterion::{criterion_group, Criterion};
 use dma_core::jsonw::JsonWriter;
 use dma_core::CheckpointStore;
 use fuzz::{
-    execute, execute_with_budget, kill_and_resume, Campaign, CampaignConfig, FuzzInput,
-    DEFAULT_WATCHDOG_BUDGET,
+    kill_and_resume, Campaign, CampaignConfig, ExecContext, FuzzInput, DEFAULT_WATCHDOG_BUDGET,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -78,12 +78,12 @@ fn bench_guard_overhead(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(criterion::Throughput::Elements(1));
     g.bench_function("exec_plain", |b| {
-        b.iter(|| std::hint::black_box(execute(&input).unwrap().signature))
+        b.iter(|| std::hint::black_box(ExecContext::new().execute(&input).unwrap().signature))
     });
     g.bench_function("exec_guarded", |b| {
         b.iter(|| {
             let out = catch_unwind(AssertUnwindSafe(|| {
-                execute_with_budget(&input, DEFAULT_WATCHDOG_BUDGET)
+                ExecContext::new().execute_with_budget(&input, DEFAULT_WATCHDOG_BUDGET)
             }))
             .expect("no panic")
             .unwrap();

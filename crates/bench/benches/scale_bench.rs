@@ -3,8 +3,9 @@
 //! warm-engine-vs-cold-baseline speedup, exported to `BENCH_scale.json`
 //! (its own report, like `BENCH_fuzz.json`).
 //!
-//! The baseline row (`exec_cold`) times the boot-per-exec path the
-//! engine used before boot-template caching; the `shards_N` rows time
+//! The baseline row (`exec_cold`) times a fresh execution context per
+//! exec — one template boot each, what every exec cost before
+//! boot-template caching; the `shards_N` rows time
 //! the sharded engine end to end (shard execution only — the merge is
 //! timed separately as `merge_N`). On a single-core box the shard rows
 //! cluster around the same warm per-exec cost and the speedup comes
@@ -13,14 +14,14 @@
 
 use criterion::{BenchResult, Throughput};
 use dma_core::jsonw::JsonWriter;
-use fuzz::{execute, FuzzInput, ShardConfig, ShardedCampaign};
+use fuzz::{ExecContext, FuzzInput, ShardConfig, ShardedCampaign};
 use std::time::Instant;
 
 /// The pinned campaign every surface shares (CI smoke, README, tests).
 const SEED: u64 = 7;
 /// Iteration budget **per shard**.
 const ITERS: u64 = 96;
-/// Execs averaged for the cold boot-per-exec baseline row.
+/// Execs averaged for the cold (fresh-context) baseline row.
 const COLD_EXECS: u64 = 12;
 /// Shard counts the scaling table sweeps.
 const SHARD_COUNTS: [u32; 4] = [1, 2, 4, 8];
@@ -44,11 +45,12 @@ fn main() {
         .unwrap_or(1);
     let mut timing = Vec::new();
 
-    // Cold baseline: one full machine boot per exec.
+    // Cold baseline: a fresh context, so one full machine boot, per exec.
     let start = Instant::now();
     for i in 0..COLD_EXECS {
         std::hint::black_box(
-            execute(&FuzzInput::generate(SEED, i))
+            ExecContext::new()
+                .execute(&FuzzInput::generate(SEED, i))
                 .expect("cold exec")
                 .signature,
         );
@@ -61,7 +63,7 @@ fn main() {
         ns_per_iter: cold_ns,
         throughput: Some(Throughput::Elements(1)),
     });
-    eprintln!("== cold boot-per-exec baseline: {cold_ns} ns/exec ==");
+    eprintln!("== cold fresh-context baseline: {cold_ns} ns/exec ==");
 
     let mut rows = Vec::new();
     for &shards in &SHARD_COUNTS {

@@ -79,9 +79,9 @@ pub fn profile_report_path() -> PathBuf {
 /// `ProfileRun::deterministic_json` — run facts, the hottest self-cycle
 /// frame, and the per-exec phase breakdown `dma-lab bench --check`
 /// re-derives — plus the two-run folded-output byte-identity verdict;
-/// the timing half holds wall-clock rows for the profiled workload at 1
-/// and 8 shards and the export paths, from which `execs_per_sec` and
-/// `speedup_8_shards_x` are derived. Returns the report path.
+/// the timing half holds wall-clock rows for the profiled workload and
+/// the export paths, from which `execs_per_sec` is derived. Returns the
+/// report path.
 pub fn emit_profile_report(
     deterministic_json: &str,
     folded_identical: bool,
@@ -102,9 +102,6 @@ pub fn emit_profile_report(
         };
         if let Some(n) = ns("profile_shards_1") {
             w.field_f64("execs_per_sec", 1e9 / n as f64);
-        }
-        if let (Some(one), Some(eight)) = (ns("profile_shards_1"), ns("profile_shards_8")) {
-            w.field_f64("speedup_8_shards_x", one as f64 / eight as f64);
         }
     });
     let path = profile_report_path();
@@ -153,8 +150,8 @@ pub fn emit_zoo_report(
 /// carries the derived execs/sec and sim-cycles/sec rows at 1/2/4/8
 /// shards plus merge cost, and the timing half holds the raw shim rows.
 /// The headline `speedup_8_shards_vs_cold_x` compares the 8-shard warm
-/// engine against the cold boot-per-exec path the engine used before
-/// template caching. Returns the report path.
+/// engine against cold execs — a fresh context, so one template boot,
+/// per exec. Returns the report path.
 pub fn emit_scale_report(
     deterministic_json: &str,
     scale_json: &str,
@@ -166,7 +163,7 @@ pub fn emit_scale_report(
         w.field("deterministic", |w| w.raw(deterministic_json));
         w.field("scale", |w| w.raw(scale_json));
         w.field("timing", |w| render_results(w, timing));
-        // Warm sharded engine vs the cold boot-per-exec baseline: the
+        // Warm sharded engine vs the cold fresh-context baseline: the
         // number the "scaling a campaign is worth it" claim rests on.
         let ns = |id: &str| {
             timing

@@ -33,8 +33,8 @@
 //! inserted whole, and children stay name-sorted. The fold is
 //! commutative and associative over per-exec profiles, which is what
 //! makes sharded campaigns thread-count-agnostic: shards are merged in
-//! sorted shard-id order, and partitioning one iteration range across N
-//! shards reproduces the 1-shard profile byte for byte.
+//! sorted shard-id order, and folding per-exec profiles in any grouping
+//! reproduces the one-pass profile byte for byte.
 
 use crate::clock::Cycles;
 use crate::jsonw::JsonWriter;

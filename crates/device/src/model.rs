@@ -178,6 +178,47 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_behaves_exactly_like_a_fresh_boot() {
+        // The fuzz executor runs every input on a clone of a booted
+        // template; that is sound only if a clone and a second boot of
+        // the same config evolve identically under the same ops.
+        for kind in [
+            DeviceKind::Nic,
+            DeviceKind::VirtioSplit,
+            DeviceKind::NvmeQueuePair,
+        ] {
+            let cfg = TestbedConfig {
+                device: kind,
+                mem: crate::testbed::MemConfigLite {
+                    kaslr_seed: Some(7),
+                    ..Default::default()
+                },
+                boot_noise_seed: Some(7),
+                ..Default::default()
+            };
+            let run = |mut m: Box<dyn DeviceModel>| {
+                let mut events = Vec::new();
+                for i in 0..6u8 {
+                    m.deliver(64 + usize::from(i) * 100, i).unwrap();
+                    events.extend(m.sim().trace.drain());
+                }
+                m.tick_ms(2);
+                m.complete_io().unwrap();
+                let leaked = m.teardown().unwrap();
+                events.extend(m.sim().trace.drain());
+                let snapshot = m.sim_ref().metrics_snapshot().to_json();
+                let clock = m.sim_ref().clock.now();
+                (events, snapshot, clock, m.delivered_count(), leaked)
+            };
+            let template = boot_model(cfg, BootSpec::Recorded(8192)).unwrap();
+            let cloned = run(template.clone_model());
+            let booted = run(boot_model(cfg, BootSpec::Recorded(8192)).unwrap());
+            assert!(!cloned.0.is_empty(), "{kind:?} emitted no events");
+            assert_eq!(cloned, booted, "{kind:?}: clone diverged from a fresh boot");
+        }
+    }
+
+    #[test]
     fn every_model_survives_raw_garbage() {
         for kind in [
             DeviceKind::Nic,

@@ -310,10 +310,10 @@ pub struct Campaign {
     state: CampaignState,
     /// Transient event bus (see [`CampaignEvent`]); not checkpointed.
     bus: Vec<CampaignEvent>,
-    /// Warm execution context: cached boot templates plus per-exec
-    /// scratch buffers. Pure cache — never checkpointed, and warm
-    /// executions are outcome-identical to cold ones, so resume
-    /// byte-identity is unaffected.
+    /// Execution context: cached boot templates plus a scratch input
+    /// buffer. Pure cache — never checkpointed, and its executions are
+    /// outcome-identical to a fresh context's, so resume byte-identity
+    /// is unaffected.
     exec_cx: ExecContext,
     /// Newest persisted checkpoint as `(sequence, at_iteration)` —
     /// the health-frame "checkpoint age" source.
@@ -475,9 +475,9 @@ impl Campaign {
             input.config_id = c;
         }
         let budget = self.cfg.watchdog_budget;
-        // Warm execution: boot templates live outside the unwind scope
-        // and are only ever cloned, so a contained panic cannot poison
-        // them; the scratch buffers reset on next use.
+        // Boot templates live outside the unwind scope and are only ever
+        // cloned, so a contained panic cannot poison them; the scratch
+        // buffer resets on next use.
         let cx = &mut self.exec_cx;
         IN_GUARDED_EXEC.with(|f| f.set(true));
         let guarded = catch_unwind(AssertUnwindSafe(|| cx.execute_with_budget(&input, budget)));

@@ -14,7 +14,7 @@ use dma_core::{CoverageMap, Result};
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use crate::exec::{config_name, execute, execute_with_forensics, ExecContext, ExecOutcome};
+use crate::exec::{config_name, ExecContext, ExecOutcome};
 use crate::input::FuzzInput;
 
 /// How many causal chains a corpus entry retains at most.
@@ -121,40 +121,28 @@ impl Corpus {
 
     /// Considers an executed input: merges its coverage into `global`
     /// and admits it (minimized) when it added new bits and its
-    /// signature is unseen. Returns the number of extra executions
-    /// spent (minimizer replays plus one forensic annotation replay; 0
-    /// when not admitted).
-    pub fn consider(
-        &mut self,
-        input: &FuzzInput,
-        outcome: &ExecOutcome,
-        global: &mut CoverageMap,
-    ) -> Result<usize> {
-        self.consider_with(None, input, outcome, global)
-    }
-
-    /// [`Corpus::consider`] with an optional warm [`ExecContext`]: the
-    /// minimizer's replays and the forensic annotation replay go through
-    /// the cached boot templates instead of booting per replay. Warm and
-    /// cold admissions are outcome-identical.
+    /// signature is unseen. The minimizer's replays and one forensic
+    /// annotation replay run on `cx`, or on a fresh context when it is
+    /// `None` — the admission is the same either way. Returns the number
+    /// of extra executions spent (minimizer replays plus the annotation
+    /// replay; 0 when not admitted).
     pub fn consider_with(
         &mut self,
-        mut cx: Option<&mut ExecContext>,
+        cx: Option<&mut ExecContext>,
         input: &FuzzInput,
         outcome: &ExecOutcome,
         global: &mut CoverageMap,
     ) -> Result<usize> {
+        let mut fresh = None;
+        let cx = cx.unwrap_or_else(|| fresh.insert(ExecContext::new()));
         let new_bits = global.merge(&outcome.coverage);
         if new_bits == 0 || !self.signatures.insert(outcome.signature) {
             return Ok(0);
         }
-        let (minimized, execs) = minimize(cx.as_deref_mut(), input, outcome.signature)?;
+        let (minimized, execs) = minimize(cx, input, outcome.signature)?;
         // One forensic replay of the kept input annotates the entry
         // with the causal chains behind its D-KASAN findings.
-        let run = match cx {
-            Some(cx) => cx.execute_with_forensics(&minimized)?,
-            None => execute_with_forensics(&minimized)?,
-        };
+        let run = cx.execute_with_forensics(&minimized)?;
         let mut chains: Vec<String> = Vec::new();
         for inc in &run.incidents {
             let c = inc.chain();
@@ -193,11 +181,7 @@ impl Corpus {
 /// Greedy shrink: drop ops back to front, keeping each removal only if
 /// the re-executed signature still equals `target`. Returns the
 /// minimized input and how many re-executions it took.
-fn minimize(
-    mut cx: Option<&mut ExecContext>,
-    input: &FuzzInput,
-    target: u64,
-) -> Result<(FuzzInput, usize)> {
+fn minimize(cx: &mut ExecContext, input: &FuzzInput, target: u64) -> Result<(FuzzInput, usize)> {
     let mut cur = input.clone();
     let mut execs = 0;
     let mut i = cur.ops.len();
@@ -209,11 +193,7 @@ fn minimize(
         let mut cand = cur.clone();
         cand.ops.remove(i);
         execs += 1;
-        let sig = match cx.as_deref_mut() {
-            Some(cx) => cx.execute(&cand)?.signature,
-            None => execute(&cand)?.signature,
-        };
-        if sig == target {
+        if cx.execute(&cand)?.signature == target {
             cur = cand;
         }
     }
@@ -227,13 +207,17 @@ mod tests {
     #[test]
     fn admission_requires_new_bits_and_fresh_signature() {
         let input = FuzzInput::generate(11, 0);
-        let out = execute(&input).unwrap();
+        let out = ExecContext::new().execute(&input).unwrap();
         let mut corpus = Corpus::new();
         let mut global = CoverageMap::new();
-        corpus.consider(&input, &out, &mut global).unwrap();
+        corpus
+            .consider_with(None, &input, &out, &mut global)
+            .unwrap();
         assert_eq!(corpus.len(), 1);
         // Same outcome again: no new bits, no duplicate entry.
-        corpus.consider(&input, &out, &mut global).unwrap();
+        corpus
+            .consider_with(None, &input, &out, &mut global)
+            .unwrap();
         assert_eq!(corpus.len(), 1);
         assert_eq!(corpus.signatures(), vec![out.signature]);
     }
@@ -241,20 +225,23 @@ mod tests {
     #[test]
     fn minimizer_preserves_signature_and_never_grows() {
         let input = FuzzInput::generate(11, 2);
-        let out = execute(&input).unwrap();
-        let (min, _) = minimize(None, &input, out.signature).unwrap();
+        let mut cx = ExecContext::new();
+        let out = cx.execute(&input).unwrap();
+        let (min, _) = minimize(&mut cx, &input, out.signature).unwrap();
         assert!(min.ops.len() <= input.ops.len());
         assert!(!min.ops.is_empty());
-        assert_eq!(execute(&min).unwrap().signature, out.signature);
+        assert_eq!(cx.execute(&min).unwrap().signature, out.signature);
     }
 
     #[test]
     fn corpus_entry_json_is_deterministic() {
         let input = FuzzInput::generate(11, 1);
-        let out = execute(&input).unwrap();
+        let out = ExecContext::new().execute(&input).unwrap();
         let mut corpus = Corpus::new();
         let mut global = CoverageMap::new();
-        corpus.consider(&input, &out, &mut global).unwrap();
+        corpus
+            .consider_with(None, &input, &out, &mut global)
+            .unwrap();
         let e = &corpus.entries()[0];
         assert_eq!(e.to_json(), e.to_json());
         assert!(e.to_json().contains("\"signature\""));

@@ -1,6 +1,7 @@
 //! Deterministic execution of one fuzz input against a fresh machine.
 //!
-//! Each input boots its own traced machine — the `config_id` row of the
+//! [`ExecContext`] is the only executor. Each input runs on a deep
+//! clone of a booted machine template — the `config_id` row of the
 //! device×mode [`MACHINES`] matrix selects the device family
 //! ([`DeviceKind`]) along with its unmap ordering and invalidation mode
 //! — applies its op program through the [`DeviceModel`] trait, replays
@@ -118,8 +119,8 @@ pub struct ExecOutcome {
     /// per-phase call tree (`exec.deliver` / `exec.churn` /
     /// `exec.oracle` / `exec.infer` / `exec.teardown`) with every
     /// instrumented allocator and IOMMU frame nested underneath. Boot
-    /// cost is excluded — the tree is reset after the machine (or warm
-    /// template clone) is obtained.
+    /// cost is excluded — the tree is reset after the template clone is
+    /// obtained.
     pub profile: Profile,
 }
 
@@ -353,18 +354,19 @@ pub fn taxonomy_of(kind: FindingKind, colocates_random: bool) -> SubPageVulnerab
 /// the ring and the oracle saw a truncated stream.
 pub const EXEC_RECORDER_CAPACITY: usize = 8192;
 
-/// Per-shard reusable execution state: booted machine templates plus
-/// per-exec scratch buffers.
+/// The one executor: booted machine templates plus a reused input-byte
+/// buffer. Every fuzz input runs through a context; a "cold" run is
+/// simply a fresh one.
 ///
-/// Booting a machine is ~90% of a cold execution's cost, yet for a
+/// Booting a machine is ~90% of a first execution's cost, yet for a
 /// given `(config_id, seed)` every boot is identical. A context boots
-/// each of the [`NUM_CONFIGS`] matrix rows once and deep-clones the
-/// template per exec — the clone carries the exact post-boot state a
-/// fresh boot produces (allocator layout, recorder contents, metrics),
-/// so warm and cold executions are outcome-identical; tests/scale.rs
-/// pins this. The scratch side reuses the input-byte staging buffer and
-/// the coverage bitmap across execs instead of re-allocating them per
-/// exec.
+/// each of the [`NUM_CONFIGS`] matrix rows once, on first use, and
+/// deep-clones the template per exec — the clone carries the exact
+/// post-boot state a fresh boot produces (allocator layout, recorder
+/// contents, metrics), so an exec on a long-lived context is
+/// outcome-identical to one on a fresh context; tests/scale.rs and the
+/// `devsim` clone tests pin this. The input-byte staging buffer is
+/// reused across execs instead of re-allocated per exec.
 ///
 /// One context per shard: it is deliberately `!Sync`-shaped state that a
 /// single shard thread owns, which is what keeps the sharded campaign
@@ -376,8 +378,6 @@ pub struct ExecContext {
     templates: Vec<Option<(u64, Box<dyn DeviceModel>)>>,
     /// Reused input-byte staging buffer (`InjectRaw` / `PayloadDeposit`).
     bytes: Vec<u8>,
-    /// Reused coverage bitmap, reset per exec.
-    cov: CoverageMap,
 }
 
 impl ExecContext {
@@ -386,7 +386,6 @@ impl ExecContext {
         ExecContext {
             templates: (0..NUM_CONFIGS as usize).map(|_| None).collect(),
             bytes: Vec::new(),
-            cov: CoverageMap::new(),
         }
     }
 
@@ -407,20 +406,38 @@ impl ExecContext {
             .clone_model())
     }
 
-    /// Warm-path [`execute`]: same outcome, no per-exec boot.
+    /// Executes one input on a clean machine.
     pub fn execute(&mut self, input: &FuzzInput) -> Result<ExecOutcome> {
-        execute_core(input, None, None, None, Some(self)).map(|(out, _)| out)
+        Ok(self.run(input, None, None, None)?.0)
     }
 
-    /// Warm-path [`execute_with_budget`].
+    /// Executes one input with a chaos fault plan armed on top of
+    /// whatever `ArmFault` ops the input itself carries (what the chaos
+    /// soak feeds corpus entries through).
+    pub fn execute_under_faults(
+        &mut self,
+        input: &FuzzInput,
+        fault_seed: u64,
+    ) -> Result<ExecOutcome> {
+        Ok(self.run(input, Some(fault_seed), None, None)?.0)
+    }
+
+    /// Executes one input under a deterministic watchdog: once the
+    /// simulated clock crosses `budget` cycles the run is aborted with
+    /// [`ExecStatus::HangAborted`] instead of running to completion. The
+    /// campaign engine wraps every exec in this so a runaway input
+    /// becomes a finding, not a wedged process.
     pub fn execute_with_budget(&mut self, input: &FuzzInput, budget: u64) -> Result<ExecOutcome> {
-        execute_core(input, None, None, Some(budget), Some(self)).map(|(out, _)| out)
+        Ok(self.run(input, None, None, Some(budget))?.0)
     }
 
-    /// Warm-path [`execute_with_forensics`].
+    /// Executes one input while feeding every event into a
+    /// [`ProvenanceGraph`], then investigates each D-KASAN finding
+    /// against it. This is the `dma-lab forensics` execution path; the
+    /// ordinary fuzzing loop skips the graph.
     pub fn execute_with_forensics(&mut self, input: &FuzzInput) -> Result<ForensicRun> {
         let mut graph = ProvenanceGraph::new();
-        let (outcome, dkasan) = execute_core(input, None, Some(&mut graph), None, Some(self))?;
+        let (outcome, dkasan) = self.run(input, None, Some(&mut graph), None)?;
         let incidents = dkasan
             .findings()
             .iter()
@@ -432,6 +449,190 @@ impl ExecContext {
             incidents,
         })
     }
+
+    fn run(
+        &mut self,
+        input: &FuzzInput,
+        fault_seed: Option<u64>,
+        mut graph: Option<&mut ProvenanceGraph>,
+        budget: Option<u64>,
+    ) -> Result<(ExecOutcome, DKasan)> {
+        let mut model = self.model(input.config_id, input.seed)?;
+        if let Some(fs) = fault_seed {
+            model.sim().faults = devsim::build_fault_plan(fs);
+        }
+        // Profiling starts here: drop boot/template attribution so every
+        // exec profiles identically whether its template was just booted
+        // or long cached, then leave a zero-cycle `exec.clone` marker
+        // recording the template hand-off (its call count is the phase
+        // signal; the cycles it stands for were deliberately spent before
+        // the reset).
+        model.sim().metrics.profile_reset();
+        let marker = model.sim().prof_begin("exec.clone");
+        model.sim().prof_end(marker);
+
+        let mut cov = CoverageMap::new();
+        let mut dkasan = DKasan::new();
+        // The in-run channel engine: every drained event batch feeds it,
+        // so the `channel_write` vocabulary always aims at what the trace
+        // has actually revealed — never at hand-wired offsets.
+        let mut inference = ChannelInference::new();
+        let mut findings: Vec<FuzzFinding> = Vec::new();
+        let mut dropped = 0u64;
+        cov.add("config", config_name(input.config_id));
+        cov.add("device", model.kind().name());
+
+        let mut status = ExecStatus::Completed;
+        for (idx, op) in input.ops.iter().enumerate() {
+            let mut op_rng = DetRng::new(
+                input.seed ^ input.iteration.wrapping_mul(0x517c_c1b7_2722_0a95) ^ idx as u64,
+            );
+            // Phase attribution: allocator churn profiles apart from the
+            // delivery/tamper vocabulary. Pure time ops (`AdvanceTime`,
+            // `BusySpin`) and the meta ops (`ArmFault`, `DebugPanic`) get
+            // no frame at all — their idle cycles stay unattributed so
+            // the profile's self-cycle ranking surfaces real
+            // IOMMU/allocator work instead of simulated sleep.
+            let phase = match *op {
+                MutationOp::KmallocChurn { .. } => Some("exec.churn"),
+                MutationOp::AdvanceTime { .. }
+                | MutationOp::BusySpin { .. }
+                | MutationOp::ArmFault { .. }
+                | MutationOp::DebugPanic => None,
+                _ => Some("exec.deliver"),
+            };
+            let frame = phase.map(|p| model.sim().prof_begin(p));
+            let applied = apply_op(
+                model.as_mut(),
+                op,
+                input.iteration,
+                &mut op_rng,
+                &mut self.bytes,
+                &mut cov,
+                &mut findings,
+                &inference,
+                budget,
+            );
+            if let Some(f) = frame {
+                model.sim().prof_end(f);
+            }
+            match applied {
+                Ok(()) => {
+                    cov.add("op", &format!("{}.ok", op.name()));
+                }
+                Err(e) if tolerated(&e) => {
+                    dropped += 1;
+                    cov.add("op", &format!("{}.drop", op.name()));
+                    if corruption(&e) {
+                        // Deferred crash from torn allocator metadata: a
+                        // device write into a freed-but-translatable
+                        // mapping corrupted state co-located with the
+                        // buffer.
+                        cov.add_taxonomy(SubPageVulnerability::RandomColocation);
+                        findings.push(FuzzFinding {
+                            iteration: input.iteration,
+                            taxonomy: SubPageVulnerability::RandomColocation,
+                            dkasan: None,
+                            site: format!("allocator.{}", op.name()),
+                            dkasan_id: String::new(),
+                            attrs: VulnerabilityAttributes::default(),
+                        });
+                    }
+                    // A starved ring blocks every later delivery; re-arm
+                    // the receive path exactly like the chaos soak does.
+                    // Recovery itself may transiently fail (armed
+                    // allocation faults, exhausted deferred IOVA space,
+                    // corrupted freelists) — the ring simply stays short
+                    // until a later op succeeds.
+                    if let Err(e2) = model.recover() {
+                        if !tolerated(&e2) {
+                            return Err(e2);
+                        }
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+            observe_drain(
+                model.as_mut(),
+                &mut cov,
+                &mut dkasan,
+                &mut inference,
+                graph.as_deref_mut(),
+            );
+            // Deterministic watchdog: the deadline is checked against the
+            // *simulated* clock at op granularity, so the abort point is
+            // a pure function of the input, never of host speed.
+            if let Some(b) = budget {
+                if model.sim_ref().clock.now() >= b {
+                    status = ExecStatus::HangAborted {
+                        at_cycles: model.sim_ref().clock.now(),
+                        after_op: idx,
+                    };
+                    break;
+                }
+            }
+        }
+
+        // A hang-aborted run skips the orderly shutdown — the campaign
+        // quarantines it rather than admitting its outcome anywhere.
+        let leaked_pages = if status == ExecStatus::Completed {
+            let frame = model.sim().prof_begin("exec.teardown");
+            let lp = model.teardown()?;
+            model.sim().prof_end(frame);
+            observe_drain(model.as_mut(), &mut cov, &mut dkasan, &mut inference, graph);
+            lp
+        } else {
+            0
+        };
+
+        // Oracle: every D-KASAN finding class becomes coverage plus a
+        // taxonomy-classified fuzz finding.
+        let colocates = model.colocates_random();
+        for f in dkasan.findings() {
+            cov.add("dkasan", &format!("{}.{}", f.kind, f.site));
+            let taxonomy = taxonomy_of(f.kind, colocates);
+            cov.add_taxonomy(taxonomy);
+            findings.push(FuzzFinding {
+                iteration: input.iteration,
+                taxonomy,
+                dkasan: Some(f.kind),
+                site: f.site.to_string(),
+                dkasan_id: f.id(),
+                attrs: VulnerabilityAttributes::default(),
+            });
+        }
+
+        // Fold in fault-site hits and which metrics/spans the run lit up.
+        for site in model.sim_ref().faults.hits_by_site().keys() {
+            cov.add("fault", site);
+        }
+        let snap = model.sim_ref().metrics_snapshot();
+        for (name, _) in &snap.counters {
+            cov.add("metric", name);
+        }
+        for (name, _) in &snap.spans {
+            cov.add("span", name);
+        }
+        for f in &findings {
+            if let Some(w) = f.attrs.window {
+                cov.add_window(w.path);
+            }
+        }
+
+        let outcome = ExecOutcome {
+            status,
+            signature: cov.signature(),
+            coverage: cov,
+            findings,
+            delivered: model.delivered_count(),
+            dropped,
+            cycles: model.sim_ref().clock.now(),
+            leaked_pages,
+            trace_dropped: model.sim_ref().metrics.counter("trace.dropped"),
+            profile: model.sim_ref().metrics.profile(),
+        };
+        Ok((outcome, dkasan))
+    }
 }
 
 impl Default for ExecContext {
@@ -440,254 +641,28 @@ impl Default for ExecContext {
     }
 }
 
-/// Executes one input on a clean machine. See [`execute_under_faults`]
-/// for the variant the chaos soak uses.
-pub fn execute(input: &FuzzInput) -> Result<ExecOutcome> {
-    execute_under_faults(input, None)
-}
-
-/// Executes one input with an optional chaos fault plan armed on top of
-/// whatever `ArmFault` ops the input itself carries.
-pub fn execute_under_faults(input: &FuzzInput, fault_seed: Option<u64>) -> Result<ExecOutcome> {
-    execute_core(input, fault_seed, None, None, None).map(|(out, _)| out)
-}
-
-/// Executes one input under a deterministic watchdog: once the
-/// simulated clock crosses `budget` cycles the run is aborted with
-/// [`ExecStatus::HangAborted`] instead of running to completion. The
-/// campaign engine wraps every exec in this so a runaway input becomes
-/// a finding, not a wedged process.
-pub fn execute_with_budget(input: &FuzzInput, budget: u64) -> Result<ExecOutcome> {
-    execute_core(input, None, None, Some(budget), None).map(|(out, _)| out)
-}
-
-/// Executes one input while feeding every event into a
-/// [`ProvenanceGraph`], then investigates each D-KASAN finding against
-/// it. This is the `dma-lab forensics` execution path; the ordinary
-/// fuzzing loop skips the graph.
-pub fn execute_with_forensics(input: &FuzzInput) -> Result<ForensicRun> {
-    let mut graph = ProvenanceGraph::new();
-    let (outcome, dkasan) = execute_core(input, None, Some(&mut graph), None, None)?;
-    let incidents = dkasan
-        .findings()
-        .iter()
-        .map(|f| investigate(&graph, f))
-        .collect();
-    Ok(ForensicRun {
-        outcome,
-        graph,
-        incidents,
-    })
-}
-
-fn execute_core(
-    input: &FuzzInput,
-    fault_seed: Option<u64>,
-    mut graph: Option<&mut ProvenanceGraph>,
-    budget: Option<u64>,
-    warm: Option<&mut ExecContext>,
-) -> Result<(ExecOutcome, DKasan)> {
-    // The cold path's locals; unused (and unallocated) on the warm path.
-    let mut cold_bytes = Vec::new();
-    let mut cold_cov = CoverageMap::new();
-    let (mut model, bytes, cov) = match warm {
-        Some(cx) => {
-            let m = cx.model(input.config_id, input.seed)?;
-            cx.cov = CoverageMap::new();
-            (m, &mut cx.bytes, &mut cx.cov)
-        }
-        None => {
-            let m = boot_model(
-                machine_config(input.config_id, input.seed),
-                BootSpec::Recorded(EXEC_RECORDER_CAPACITY),
-            )?;
-            (m, &mut cold_bytes, &mut cold_cov)
-        }
-    };
-    if let Some(fs) = fault_seed {
-        model.sim().faults = devsim::build_fault_plan(fs);
+/// Drains the machine's event trace and feeds the batch to every
+/// observer in a fixed order: coverage, the D-KASAN oracle
+/// (`exec.oracle` frame), channel inference (`exec.infer` frame), and
+/// — on forensic runs — the provenance graph.
+fn observe_drain(
+    model: &mut dyn DeviceModel,
+    cov: &mut CoverageMap,
+    dkasan: &mut DKasan,
+    inference: &mut ChannelInference,
+    graph: Option<&mut ProvenanceGraph>,
+) {
+    let events = model.sim().trace.drain();
+    absorb_events(&events, cov);
+    let frame = model.sim().prof_begin("exec.oracle");
+    dkasan.process(&events);
+    model.sim().prof_end(frame);
+    let frame = model.sim().prof_begin("exec.infer");
+    inference.observe_all(&events);
+    model.sim().prof_end(frame);
+    if let Some(g) = graph {
+        g.ingest_all(events);
     }
-    // Profiling starts here: drop boot/template attribution so every
-    // exec profiles identically whether it ran warm or cold, then leave
-    // a zero-cycle `exec.clone` marker recording the template hand-off
-    // (its call count is the phase signal; the cycles it stands for
-    // were deliberately spent before the reset).
-    model.sim().metrics.profile_reset();
-    let marker = model.sim().prof_begin("exec.clone");
-    model.sim().prof_end(marker);
-
-    let mut dkasan = DKasan::new();
-    // The in-run channel engine: every drained event batch feeds it, so
-    // the `channel_write` vocabulary always aims at what the trace has
-    // actually revealed — never at hand-wired offsets.
-    let mut inference = ChannelInference::new();
-    let mut findings: Vec<FuzzFinding> = Vec::new();
-    let mut dropped = 0u64;
-    cov.add("config", config_name(input.config_id));
-    cov.add("device", model.kind().name());
-
-    let mut status = ExecStatus::Completed;
-    for (idx, op) in input.ops.iter().enumerate() {
-        let mut op_rng = DetRng::new(
-            input.seed ^ input.iteration.wrapping_mul(0x517c_c1b7_2722_0a95) ^ idx as u64,
-        );
-        // Phase attribution: allocator churn profiles apart from the
-        // delivery/tamper vocabulary. Pure time ops (`AdvanceTime`,
-        // `BusySpin`) and the meta ops (`ArmFault`, `DebugPanic`) get
-        // no frame at all — their idle cycles stay unattributed so the
-        // profile's self-cycle ranking surfaces real IOMMU/allocator
-        // work instead of simulated sleep.
-        let phase = match *op {
-            MutationOp::KmallocChurn { .. } => Some("exec.churn"),
-            MutationOp::AdvanceTime { .. }
-            | MutationOp::BusySpin { .. }
-            | MutationOp::ArmFault { .. }
-            | MutationOp::DebugPanic => None,
-            _ => Some("exec.deliver"),
-        };
-        let frame = phase.map(|p| model.sim().prof_begin(p));
-        let applied = apply_op(
-            model.as_mut(),
-            op,
-            input.iteration,
-            &mut op_rng,
-            bytes,
-            cov,
-            &mut findings,
-            &inference,
-            budget,
-        );
-        if let Some(f) = frame {
-            model.sim().prof_end(f);
-        }
-        match applied {
-            Ok(()) => {
-                cov.add("op", &format!("{}.ok", op.name()));
-            }
-            Err(e) if tolerated(&e) => {
-                dropped += 1;
-                cov.add("op", &format!("{}.drop", op.name()));
-                if corruption(&e) {
-                    // Deferred crash from torn allocator metadata: a
-                    // device write into a freed-but-translatable mapping
-                    // corrupted state co-located with the buffer.
-                    cov.add_taxonomy(SubPageVulnerability::RandomColocation);
-                    findings.push(FuzzFinding {
-                        iteration: input.iteration,
-                        taxonomy: SubPageVulnerability::RandomColocation,
-                        dkasan: None,
-                        site: format!("allocator.{}", op.name()),
-                        dkasan_id: String::new(),
-                        attrs: VulnerabilityAttributes::default(),
-                    });
-                }
-                // A starved ring blocks every later delivery; re-arm the
-                // receive path exactly like the chaos soak does. Recovery
-                // itself may transiently fail (armed allocation faults,
-                // exhausted deferred IOVA space, corrupted freelists) —
-                // the ring simply stays short until a later op succeeds.
-                if let Err(e2) = model.recover() {
-                    if !tolerated(&e2) {
-                        return Err(e2);
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-        let events = model.sim().trace.drain();
-        absorb_events(&events, cov);
-        let frame = model.sim().prof_begin("exec.oracle");
-        dkasan.process(&events);
-        model.sim().prof_end(frame);
-        let frame = model.sim().prof_begin("exec.infer");
-        inference.observe_all(&events);
-        model.sim().prof_end(frame);
-        if let Some(g) = graph.as_deref_mut() {
-            g.ingest_all(events);
-        }
-        // Deterministic watchdog: the deadline is checked against the
-        // *simulated* clock at op granularity, so the abort point is a
-        // pure function of the input, never of host speed.
-        if let Some(b) = budget {
-            if model.sim_ref().clock.now() >= b {
-                status = ExecStatus::HangAborted {
-                    at_cycles: model.sim_ref().clock.now(),
-                    after_op: idx,
-                };
-                break;
-            }
-        }
-    }
-
-    // A hang-aborted run skips the orderly shutdown — the campaign
-    // quarantines it rather than admitting its outcome anywhere.
-    let leaked_pages = if status == ExecStatus::Completed {
-        let frame = model.sim().prof_begin("exec.teardown");
-        let lp = model.teardown()?;
-        model.sim().prof_end(frame);
-        let events = model.sim().trace.drain();
-        absorb_events(&events, cov);
-        let frame = model.sim().prof_begin("exec.oracle");
-        dkasan.process(&events);
-        model.sim().prof_end(frame);
-        let frame = model.sim().prof_begin("exec.infer");
-        inference.observe_all(&events);
-        model.sim().prof_end(frame);
-        if let Some(g) = graph {
-            g.ingest_all(events);
-        }
-        lp
-    } else {
-        0
-    };
-
-    // Oracle: every D-KASAN finding class becomes coverage plus a
-    // taxonomy-classified fuzz finding.
-    let colocates = model.colocates_random();
-    for f in dkasan.findings() {
-        cov.add("dkasan", &format!("{}.{}", f.kind, f.site));
-        let taxonomy = taxonomy_of(f.kind, colocates);
-        cov.add_taxonomy(taxonomy);
-        findings.push(FuzzFinding {
-            iteration: input.iteration,
-            taxonomy,
-            dkasan: Some(f.kind),
-            site: f.site.to_string(),
-            dkasan_id: f.id(),
-            attrs: VulnerabilityAttributes::default(),
-        });
-    }
-
-    // Fold in fault-site hits and which metrics/spans the run lit up.
-    for site in model.sim_ref().faults.hits_by_site().keys() {
-        cov.add("fault", site);
-    }
-    let snap = model.sim_ref().metrics_snapshot();
-    for (name, _) in &snap.counters {
-        cov.add("metric", name);
-    }
-    for (name, _) in &snap.spans {
-        cov.add("span", name);
-    }
-    for f in &findings {
-        if let Some(w) = f.attrs.window {
-            cov.add_window(w.path);
-        }
-    }
-
-    let outcome = ExecOutcome {
-        status,
-        signature: cov.signature(),
-        coverage: cov.clone(),
-        findings,
-        delivered: model.delivered_count(),
-        dropped,
-        cycles: model.sim_ref().clock.now(),
-        leaked_pages,
-        trace_dropped: model.sim_ref().metrics.counter("trace.dropped"),
-        profile: model.sim_ref().metrics.profile(),
-    };
-    Ok((outcome, dkasan))
 }
 
 fn absorb_events(events: &[Event], cov: &mut CoverageMap) {

@@ -4,8 +4,10 @@
 //! [`run_forensics`] sweeps `(seed, 0..iters)` exactly like the fuzzing
 //! loop, but where the fuzzer only *counts* findings, this pass
 //! re-executes each iteration that produced a new D-KASAN finding class
-//! under [`execute_with_forensics`] — event stream into a provenance
-//! graph — and investigates the findings into [`Incident`] timelines.
+//! under [`ExecContext::execute_with_forensics`] — event stream into a
+//! provenance graph — and investigates the findings into [`Incident`]
+//! timelines. Sweep and replays share one context, so each machine
+//! shape boots once per campaign.
 //! Device-write observations (the `destructor_arg` callback exposures)
 //! carry their §5.2 window attributes directly and are reported
 //! alongside. Everything is a pure function of `(seed, iters)`: text
@@ -17,7 +19,7 @@ use dkasan::Incident;
 use dma_core::jsonw::JsonWriter;
 use dma_core::Result;
 
-use crate::exec::{config_name, execute, execute_with_forensics, FuzzFinding};
+use crate::exec::{config_name, ExecContext, FuzzFinding};
 use crate::input::FuzzInput;
 
 /// One investigated D-KASAN finding class: which iteration produced it,
@@ -59,10 +61,11 @@ pub fn run_forensics(seed: u64, iters: u64) -> Result<ForensicsReport> {
     let mut callbacks: Vec<FuzzFinding> = Vec::new();
     let mut trace_dropped = 0u64;
     let mut forensic_execs = 0u64;
+    let mut cx = ExecContext::new();
 
     for it in 0..iters {
         let input = FuzzInput::generate(seed, it);
-        let out = execute(&input)?;
+        let out = cx.execute(&input)?;
         trace_dropped += out.trace_dropped;
 
         let mut fresh_class = false;
@@ -85,7 +88,7 @@ pub fn run_forensics(seed: u64, iters: u64) -> Result<ForensicsReport> {
         }
 
         forensic_execs += 1;
-        let run = execute_with_forensics(&input)?;
+        let run = cx.execute_with_forensics(&input)?;
         for incident in run.incidents {
             let class = format!("{}|{}", incident.finding.kind, incident.finding.site);
             if seen_classes.insert(class) {

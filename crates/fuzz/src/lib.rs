@@ -13,6 +13,9 @@
 //! * an input is a pure function of `(seed, iteration)` ([`FuzzInput`]);
 //! * execution runs on the simulated clock, so cycle counts and the
 //!   coverage-over-time series are identical across runs;
+//! * one executor, [`ExecContext`], runs every input on a clone of a
+//!   booted machine template; a fresh context and a long-lived one give
+//!   the same outcome, so an input never depends on what ran before it;
 //! * coverage is a fixed-size bitmap ([`CoverageMap`]) fed only from
 //!   deterministic observations (trace-event shapes, fault sites,
 //!   D-KASAN classes, taxonomy letters, window paths);
@@ -46,10 +49,9 @@ pub use campaign::{
 };
 pub use corpus::{Corpus, CorpusEntry};
 pub use exec::{
-    config_device, config_name, execute, execute_under_faults, execute_with_budget,
-    execute_with_forensics, machine_config, parse_config, taxonomy_of, ExecContext, ExecOutcome,
-    ExecStatus, ForensicRun, FuzzFinding, DEFAULT_WATCHDOG_BUDGET, EXEC_RECORDER_CAPACITY,
-    SPIN_COST,
+    config_device, config_name, machine_config, parse_config, taxonomy_of, ExecContext,
+    ExecOutcome, ExecStatus, ForensicRun, FuzzFinding, DEFAULT_WATCHDOG_BUDGET,
+    EXEC_RECORDER_CAPACITY, SPIN_COST,
 };
 pub use forensics::{run_forensics, ForensicsCase, ForensicsReport};
 pub use input::{
@@ -104,22 +106,11 @@ pub fn infer_channels(seed: u64, config_id: u8) -> Result<ChannelMap> {
     Ok(inference.channel_map())
 }
 
-/// Re-executes the input for `(seed, iteration)` — the replay half of
-/// the "replayable from two integers" contract.
+/// Re-executes the input for `(seed, iteration)` on a fresh
+/// [`ExecContext`] — the replay half of the "replayable from two
+/// integers" contract.
 pub fn replay(seed: u64, iteration: u64) -> Result<ExecOutcome> {
-    execute(&FuzzInput::generate(seed, iteration))
-}
-
-/// Replay with a chaos fault plan armed on top (what the soak test
-/// feeds corpus entries through).
-pub fn replay_under_faults(seed: u64, iteration: u64, fault_seed: u64) -> Result<ExecOutcome> {
-    execute_under_faults(&FuzzInput::generate(seed, iteration), Some(fault_seed))
-}
-
-/// Replay under a watchdog budget — how a quarantined hang finding is
-/// re-examined without wedging the examiner.
-pub fn replay_with_budget(seed: u64, iteration: u64, budget: u64) -> Result<ExecOutcome> {
-    execute_with_budget(&FuzzInput::generate(seed, iteration), budget)
+    ExecContext::new().execute(&FuzzInput::generate(seed, iteration))
 }
 
 /// Runs the fuzzing loop: generate, execute, merge coverage, admit to

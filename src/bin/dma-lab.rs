@@ -47,13 +47,13 @@ use dma_lab::spade::xref::SourceTree;
 /// Minimal flag parser: `--key value` pairs after the subcommand.
 struct Args {
     positional: Vec<String>,
-    flags: std::collections::HashMap<String, String>,
+    flags: std::collections::BTreeMap<String, String>,
 }
 
 impl Args {
     fn parse(raw: &[String]) -> Args {
         let mut positional = Vec::new();
-        let mut flags = std::collections::HashMap::new();
+        let mut flags = std::collections::BTreeMap::new();
         let mut i = 0;
         while i < raw.len() {
             if let Some(key) = raw[i].strip_prefix("--") {
@@ -120,6 +120,37 @@ fn window_of(args: &Args) -> WindowPath {
     }
 }
 
+/// The flags each command reads. Any other flag is a usage error
+/// (exit 2), so a typo such as `--iter` never runs a default-valued
+/// experiment.
+const FLAGS: &[(&str, &str)] = &[
+    ("layout", "seed"),
+    ("spade", "filter seed tsv json"),
+    ("dkasan", "rounds seed faults json"),
+    ("survey", "boots profile"),
+    ("attack", "window seed"),
+    ("surveil", "seed"),
+    ("dos", "seed"),
+    ("dump", "seed start frames"),
+    ("chaos", "seed runs json"),
+    ("stats", "seed rounds faults json checkpoint-dir diff"),
+    ("trace", "spans seed rounds faults json chrome"),
+    (
+        "serve",
+        "seed iters port script shards transcript checkpoint-dir checkpoint-every",
+    ),
+    (
+        "fuzz",
+        "seed iters corpus-dir json shards threads config checkpoint-every checkpoint-dir resume \
+         watchdog-budget plant-panic plant-hang",
+    ),
+    ("profile", "seed iters config folded json"),
+    ("bench", "check"),
+    ("infer", "seed config"),
+    ("forensics", "seed iters json"),
+    ("help", ""),
+];
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let cmd = raw
@@ -128,6 +159,14 @@ fn main() {
         .unwrap_or("help")
         .to_string();
     let args = Args::parse(&raw[raw.len().min(1)..]);
+    if let Some((_, known)) = FLAGS.iter().find(|(name, _)| *name == cmd) {
+        for flag in args.flags.keys() {
+            if !known.split_whitespace().any(|k| k == flag) {
+                eprintln!("{cmd} does not take --{flag}\n{HELP}");
+                std::process::exit(2);
+            }
+        }
+    }
     let code = match cmd.as_str() {
         "layout" => cmd_layout(&args),
         "spade" => cmd_spade(&args),
@@ -183,8 +222,8 @@ USAGE:
                  [--shards N] [--threads T] [--config ID|NAME]
                  [--checkpoint-every N] [--checkpoint-dir DIR] [--resume DIR]
                  [--watchdog-budget CYCLES] [--plant-panic K] [--plant-hang K]
-    dma-lab profile [--seed N] [--iters N] [--config ID|NAME] [--shards N]
-                    [--folded OUT.txt] [--json]
+    dma-lab profile [--seed N] [--iters N] [--config ID|NAME] [--folded OUT.txt]
+                    [--json]
     dma-lab bench --check BENCH.json [BENCH.json ...]
     dma-lab infer [--seed N] [--config ID|NAME]
     dma-lab forensics [--seed N] [--iters N] [--json]
@@ -890,18 +929,13 @@ fn cmd_fuzz(args: &Args) -> i32 {
 /// profiler over the canonical fuzz inputs and prints the merged call
 /// tree (text), a speedscope document (`--json`), and/or a folded-stack
 /// file (`--folded`, the `flamegraph.pl`/inferno input format). Output
-/// is byte-identical across runs and across `--shards` counts.
+/// is byte-identical across runs.
 fn cmd_profile(args: &Args) -> i32 {
     use dma_lab::profiling::{run_profile, ProfileConfig};
     let seed = num_flag!(args, "seed", 7);
     let iters = num_flag!(args, "iters", 96);
-    let shards = num_flag!(args, "shards", 1);
     if iters == 0 {
         eprintln!("--iters must be at least 1\n{HELP}");
-        return 2;
-    }
-    if shards == 0 || shards > 256 {
-        eprintln!("--shards must be between 1 and 256\n{HELP}");
         return 2;
     }
     let only_config = match args.str_flag("config") {
@@ -929,7 +963,6 @@ fn cmd_profile(args: &Args) -> i32 {
         seed,
         iters,
         only_config,
-        shards: shards as u32,
     }) {
         Ok(run) => run,
         Err(e) => {

@@ -4,31 +4,28 @@
 //! ## The profile workload
 //!
 //! [`run_profile`] executes the canonical fuzz inputs for a seed —
-//! `FuzzInput::generate(seed, it)` for `it` in `[0, iters)` — on warm
-//! template executors and folds every per-exec cycle-attribution
-//! profile ([`dma_core::Profile`]) into one call tree. `--shards N`
-//! partitions the *iteration range* into `N` contiguous chunks run on
-//! `N` threads; because an input is a pure function of
-//! `(seed, iteration)` and [`dma_core::Profile::merge`] is an
-//! associative, commutative sum folded in chunk order, the merged
-//! profile is **byte-identical for any shard count** — unlike the
-//! campaign engine's shards, which deliberately re-seed per shard.
+//! `FuzzInput::generate(seed, it)` for `it` in `[0, iters)` — in order
+//! on one [`ExecContext`], single-threaded, and folds every per-exec
+//! cycle-attribution profile ([`dma_core::Profile`]) into one call
+//! tree. An input is a pure function of `(seed, iteration)` and
+//! [`dma_core::Profile::merge`] is an associative sum, so the merged
+//! profile is byte-identical across runs.
 //!
 //! ## The trajectory gate
 //!
 //! [`check_bench_file`] re-runs the deterministic simulated-cycle
 //! workload behind a committed `BENCH_*.json` (fuzz / scale / zoo /
-//! profile) and compares the watched metrics against the committed
-//! values, each under a per-metric tolerance (exact for counts, a
-//! small relative band for cycle totals so deliberate cost-model
-//! tweaks don't churn the gate). `dma-lab bench --check` exits 1 when
-//! any metric regresses beyond its tolerance.
+//! profile / forensics) and compares the watched metrics against the
+//! committed values, each under a per-metric tolerance (exact for
+//! counts, a small relative band for cycle totals so deliberate
+//! cost-model tweaks don't churn the gate). `dma-lab bench --check`
+//! exits 1 when any metric regresses beyond its tolerance.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
 use dma_core::jsonw::JsonWriter;
-use dma_core::{DmaError, JValue, Profile, Result};
+use dma_core::{JValue, Profile, Result};
 use fuzz::{parse_config, ExecContext, FuzzConfig, FuzzInput, ShardConfig, ShardedCampaign};
 
 /// Configuration of one `dma-lab profile` run.
@@ -40,18 +37,15 @@ pub struct ProfileConfig {
     pub iters: u64,
     /// When set, every input is pinned to this machine config.
     pub only_config: Option<u8>,
-    /// Contiguous iteration chunks run on this many threads.
-    pub shards: u32,
 }
 
 impl ProfileConfig {
-    /// A plain single-threaded run.
+    /// A run over every machine config.
     pub fn new(seed: u64, iters: u64) -> ProfileConfig {
         ProfileConfig {
             seed,
             iters,
             only_config: None,
-            shards: 1,
         }
     }
 }
@@ -71,49 +65,9 @@ pub struct ProfileRun {
     pub profile: Profile,
 }
 
-/// Runs the profile workload. See the module docs for the sharding
-/// model and its byte-identity argument.
+/// Runs the profile workload (see the module docs).
 pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileRun> {
-    let shards = cfg.shards.max(1).min(cfg.iters.max(1) as u32) as u64;
-    let chunks: Vec<(u64, u64)> = (0..shards)
-        .map(|s| (cfg.iters * s / shards, cfg.iters * (s + 1) / shards))
-        .collect();
-    let run_chunk = |(lo, hi): (u64, u64)| -> Result<(Profile, u64, u64)> {
-        let mut cx = ExecContext::new();
-        let mut profile = Profile::new();
-        let mut execs = 0u64;
-        let mut cycles = 0u64;
-        for it in lo..hi {
-            let mut input = FuzzInput::generate(cfg.seed, it);
-            if let Some(c) = cfg.only_config {
-                input.config_id = c;
-            }
-            let out = cx.execute(&input)?;
-            profile.merge(&out.profile);
-            execs += 1;
-            cycles += out.cycles;
-        }
-        Ok((profile, execs, cycles))
-    };
-    let results: Vec<Result<(Profile, u64, u64)>> = if chunks.len() == 1 {
-        vec![run_chunk(chunks[0])]
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|&chunk| scope.spawn(move || run_chunk(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or(Err(DmaError::Invariant("profile worker panicked")))
-                })
-                .collect()
-        })
-    };
-    // Fold in chunk (== iteration) order: any contiguous partition of
-    // the same range merges to the same tree.
+    let mut cx = ExecContext::new();
     let mut run = ProfileRun {
         seed: cfg.seed,
         iters: cfg.iters,
@@ -121,11 +75,15 @@ pub fn run_profile(cfg: &ProfileConfig) -> Result<ProfileRun> {
         total_cycles: 0,
         profile: Profile::new(),
     };
-    for r in results {
-        let (profile, execs, cycles) = r?;
-        run.profile.merge(&profile);
-        run.execs += execs;
-        run.total_cycles += cycles;
+    for it in 0..cfg.iters {
+        let mut input = FuzzInput::generate(cfg.seed, it);
+        if let Some(c) = cfg.only_config {
+            input.config_id = c;
+        }
+        let out = cx.execute(&input)?;
+        run.profile.merge(&out.profile);
+        run.execs += 1;
+        run.total_cycles += out.cycles;
     }
     Ok(run)
 }
@@ -224,7 +182,8 @@ pub struct CheckRow {
 /// The verdict on one `BENCH_*.json` file.
 #[derive(Clone, Debug)]
 pub struct CheckOutcome {
-    /// The file's `report` kind (`fuzz`, `scale`, `zoo`, `profile`).
+    /// The file's `report` kind (`fuzz`, `scale`, `zoo`, `profile`,
+    /// `forensics`).
     pub report: String,
     /// Compared metrics, in document order.
     pub rows: Vec<CheckRow>,
@@ -304,6 +263,7 @@ pub fn check_bench_file(path: &Path) -> std::result::Result<CheckOutcome, String
         "scale" => check_scale(det, &mut rows).map_err(|w| malformed(path, w))?,
         "zoo" => check_zoo(det, &mut rows).map_err(|w| malformed(path, w))?,
         "profile" => check_profile(det, &mut rows).map_err(|w| malformed(path, w))?,
+        "forensics" => check_forensics(det, &mut rows).map_err(|w| malformed(path, w))?,
         other => {
             return Ok(CheckOutcome {
                 report: other.to_string(),
@@ -477,6 +437,41 @@ fn check_profile(det: &JValue, rows: &mut Vec<CheckRow>) -> std::result::Result<
     Ok(())
 }
 
+fn check_forensics(
+    det: &JValue,
+    rows: &mut Vec<CheckRow>,
+) -> std::result::Result<(), &'static str> {
+    let seed = det.u64_field("seed").ok_or("deterministic.seed missing")?;
+    let iters = det
+        .u64_field("iters")
+        .ok_or("deterministic.iters missing")?;
+    let report =
+        fuzz::run_forensics(seed, iters).map_err(|_| "forensics campaign re-run failed")?;
+    let counts = [
+        ("forensic_execs", report.forensic_execs),
+        ("incident_classes", report.cases.len() as u64),
+        ("callback_exposures", report.callbacks.len() as u64),
+        ("trace_dropped", report.trace_dropped),
+    ];
+    for (metric, actual) in counts {
+        let expected = det.u64_field(metric).ok_or("deterministic count missing")?;
+        exact_row(rows, metric, expected, actual);
+    }
+    let committed = det
+        .get("campaign")
+        .and_then(|c| c.get("cases"))
+        .and_then(|c| c.as_arr())
+        .ok_or("deterministic.campaign.cases missing")?;
+    let expected: Vec<&str> = committed.iter().filter_map(|c| c.str_field("id")).collect();
+    let actual: Vec<String> = report
+        .cases
+        .iter()
+        .map(|c| c.incident.finding.id())
+        .collect();
+    str_row(rows, "cases[].id", &expected.join(","), &actual.join(","));
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,19 +486,6 @@ mod tests {
         // A zero expectation tolerates only zero.
         assert!(within_permille(0, 0, 10));
         assert!(!within_permille(0, 1, 10));
-    }
-
-    #[test]
-    fn profile_run_is_byte_identical_across_shard_counts() {
-        let mut one = ProfileConfig::new(3, 6);
-        let mut three = ProfileConfig::new(3, 6);
-        one.shards = 1;
-        three.shards = 3;
-        let a = run_profile(&one).unwrap();
-        let b = run_profile(&three).unwrap();
-        assert_eq!(a.profile.folded(), b.profile.folded());
-        assert_eq!(a.deterministic_json(), b.deterministic_json());
-        assert_eq!(a.total_cycles, b.total_cycles);
     }
 
     #[test]
@@ -550,6 +532,31 @@ mod tests {
         )
         .unwrap();
         assert!(check_bench_file(&p).unwrap().passed());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn forensics_reports_are_rerun_not_skipped() {
+        let dir = std::env::temp_dir().join(format!("dma-lab-forensics-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join("BENCH_forensics.json");
+        let real = fuzz::run_forensics(7, 8).unwrap();
+        let write = |incidents: usize| {
+            let body = format!(
+                r#"{{"report":"forensics","deterministic":{{"seed":7,"iters":8,"forensic_execs":{},"incident_classes":{incidents},"callback_exposures":{},"trace_dropped":{},"campaign":{}}}}}"#,
+                real.forensic_execs,
+                real.callbacks.len(),
+                real.trace_dropped,
+                real.to_json()
+            );
+            std::fs::write(&p, body).unwrap();
+            check_bench_file(&p).unwrap()
+        };
+        let honest = write(real.cases.len());
+        assert!(honest.skipped.is_none());
+        assert_eq!(honest.rows.len(), 5, "four counts plus the case ids");
+        assert!(honest.passed());
+        assert!(!write(real.cases.len() + 1).passed());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

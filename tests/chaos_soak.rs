@@ -131,7 +131,7 @@ fn fuzz_corpus_entry_survives_chaos_fault_schedules() {
     // top of whatever faults the input itself carries. The combined
     // schedule must degrade gracefully — no panics, no leaked DMA
     // mappings — and replay identically.
-    use dma_lab::fuzz::{replay_under_faults, run_fuzz, FuzzConfig};
+    use dma_lab::fuzz::{run_fuzz, ExecContext, FuzzConfig, FuzzInput};
     let report = run_fuzz(&FuzzConfig {
         seed: 7,
         iters: 8,
@@ -139,14 +139,16 @@ fn fuzz_corpus_entry_survives_chaos_fault_schedules() {
     })
     .unwrap();
     let entry = report.corpus.first().expect("campaign admitted an entry");
+    let input = FuzzInput::generate(entry.seed, entry.iteration);
+    let replay = |fault_seed| ExecContext::new().execute_under_faults(&input, fault_seed);
     for fault_seed in [1u64, 42, 0xdead_beef] {
-        let a = replay_under_faults(entry.seed, entry.iteration, fault_seed)
+        let a = replay(fault_seed)
             .unwrap_or_else(|e| panic!("fault seed {fault_seed:#x}: failed to degrade: {e}"));
         assert_eq!(
             a.leaked_pages, 0,
             "fault seed {fault_seed:#x}: DMA mappings leaked past shutdown"
         );
-        let b = replay_under_faults(entry.seed, entry.iteration, fault_seed).unwrap();
+        let b = replay(fault_seed).unwrap();
         assert_eq!(
             a.signature, b.signature,
             "fault seed {fault_seed:#x}: replay under faults diverged"

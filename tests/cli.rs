@@ -411,6 +411,10 @@ fn hardened_arg_parsing_rejects_malformed_numbers_everywhere() {
         &["profile", "--iters", "0"][..],
         &["profile", "--iters", "banana"][..],
         &["profile", "--seed", "0x7"][..],
+        // Flags a command does not read are rejected, never ignored:
+        // `--iter` is a typo of `--iters`, and profile has no shards.
+        &["fuzz", "--iter", "5"][..],
+        &["profile", "--shards", "8"][..],
         &["profile", "--shards", "0"][..],
         &["profile", "--shards", "257"][..],
         &["profile", "--config", "9"][..],

@@ -2,7 +2,7 @@
 //! planted stale-write (RingFlood-style) incident timeline.
 
 use dma_lab::dma_core::{chrome, Event};
-use dma_lab::fuzz::{execute_with_forensics, run_forensics, FuzzInput, MutationOp};
+use dma_lab::fuzz::{run_forensics, ExecContext, FuzzInput, MutationOp};
 use dma_lab::obs::{run_observed, ObsConfig};
 
 #[test]
@@ -93,7 +93,7 @@ fn planted_stale_write_produces_the_ringflood_timeline() {
             },
         ],
     };
-    let run = execute_with_forensics(&input).unwrap();
+    let run = ExecContext::new().execute_with_forensics(&input).unwrap();
 
     // The exposure is observed with its §5.2.1 window attributes.
     let f = run

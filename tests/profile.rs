@@ -1,17 +1,18 @@
 //! The cycle-attribution profiler's determinism contract: folded
-//! output is byte-identical across runs and shard counts, the per-exec
-//! phase breakdown is pinned for every zoo config, and the hottest
-//! self-cycle frame names an IOMMU invalidation path.
+//! output is byte-identical across runs and independent of which
+//! execution context ran each input, the per-exec phase breakdown is
+//! pinned for every zoo config, and the hottest self-cycle frame names
+//! an IOMMU invalidation path.
 
-use dma_lab::fuzz::{config_name, NUM_CONFIGS};
+use dma_lab::dma_core::Profile;
+use dma_lab::fuzz::{config_name, ExecContext, FuzzInput, NUM_CONFIGS};
 use dma_lab::profiling::{run_profile, ProfileConfig};
 
 const SEED: u64 = 7;
 const ITERS: u64 = 24;
 
-fn profiled(shards: u32, only_config: Option<u8>) -> dma_lab::dma_core::Profile {
+fn profiled(only_config: Option<u8>) -> Profile {
     run_profile(&ProfileConfig {
-        shards,
         only_config,
         ..ProfileConfig::new(SEED, ITERS)
     })
@@ -21,23 +22,24 @@ fn profiled(shards: u32, only_config: Option<u8>) -> dma_lab::dma_core::Profile 
 
 #[test]
 fn two_runs_fold_to_identical_bytes() {
-    let a = profiled(1, None);
-    let b = profiled(1, None);
+    let a = profiled(None);
+    let b = profiled(None);
     assert_eq!(a.folded(), b.folded(), "folded output must be replayable");
     assert_eq!(a.to_json(), b.to_json());
 }
 
 #[test]
-fn shard_count_never_changes_the_merged_tree() {
-    let one = profiled(1, None);
-    for shards in [2, 3, 8] {
-        let sharded = profiled(shards, None);
-        assert_eq!(
-            one.folded(),
-            sharded.folded(),
-            "{shards} contiguous chunks merged to a different tree"
-        );
+fn fresh_contexts_fold_to_the_same_tree() {
+    // The workload runs every input on one shared context; folding the
+    // profiles of a fresh context per input must give the same bytes.
+    let mut fresh = Profile::new();
+    for it in 0..ITERS {
+        let out = ExecContext::new()
+            .execute(&FuzzInput::generate(SEED, it))
+            .expect("fresh-context exec");
+        fresh.merge(&out.profile);
     }
+    assert_eq!(profiled(None).folded(), fresh.folded());
 }
 
 #[test]
@@ -61,7 +63,7 @@ fn the_hottest_self_frame_is_an_iommu_invalidation_path() {
 fn phase_breakdown_is_pinned_for_every_zoo_config() {
     for config in 0..NUM_CONFIGS {
         let name = config_name(config);
-        let profile = profiled(1, Some(config));
+        let profile = profiled(Some(config));
         let phases = profile.phases();
         let calls = |phase: &str| -> u64 {
             phases
@@ -92,7 +94,7 @@ fn phase_breakdown_is_pinned_for_every_zoo_config() {
                 .unwrap_or(0)
         };
         assert!(cycles("exec.deliver") > 0, "{name}: free delivery");
-        let again = profiled(1, Some(config));
+        let again = profiled(Some(config));
         assert_eq!(profile.folded(), again.folded(), "{name} not deterministic");
     }
 }

@@ -5,7 +5,7 @@
 
 use dma_lab::dma_core::checkpoint::SLOT_FILES;
 use dma_lab::fuzz::{
-    crash_id, kill_and_resume, replay_with_budget, Campaign, CampaignConfig, CrashKind, ExecStatus,
+    crash_id, kill_and_resume, Campaign, CampaignConfig, CrashKind, ExecContext, ExecStatus,
     FuzzInput, MutationOp, PLANT_HANG_BIT, PLANT_PANIC_BIT,
 };
 use std::path::{Path, PathBuf};
@@ -103,7 +103,12 @@ fn quarantined_findings_replay_from_two_integers() {
 
     // The hang replays under the same budget and aborts at the same
     // deterministic cycle the campaign recorded.
-    let out = replay_with_budget(hang.seed, hang.iteration, cfg.watchdog_budget).unwrap();
+    let out = ExecContext::new()
+        .execute_with_budget(
+            &FuzzInput::generate(hang.seed, hang.iteration),
+            cfg.watchdog_budget,
+        )
+        .unwrap();
     match out.status {
         ExecStatus::HangAborted { at_cycles, .. } => {
             assert!(
@@ -119,7 +124,7 @@ fn quarantined_findings_replay_from_two_integers() {
     // the same panicking program the campaign contained.
     let input = FuzzInput::generate(panic.seed, panic.iteration);
     assert!(matches!(input.ops.last(), Some(MutationOp::DebugPanic)));
-    let caught = std::panic::catch_unwind(|| dma_lab::fuzz::execute(&input));
+    let caught = std::panic::catch_unwind(|| ExecContext::new().execute(&input));
     assert!(caught.is_err(), "panic replay did not panic");
 }
 

@@ -1,13 +1,12 @@
 //! Sharded-campaign scale contracts (DESIGN.md §13): the merged report
 //! is a pure function of `(seed, iters, shards)` — never of the thread
 //! count — a 1-shard sharded run is the legacy engine byte for byte,
-//! kill+resume restores every shard (RNG position included), and the
-//! warm boot-template executor is outcome-identical to the cold
-//! boot-per-exec path it replaced.
+//! kill+resume restores every shard (RNG position included), and a
+//! long-lived execution context is outcome-identical to a fresh one.
 
 use dma_lab::fuzz::{
-    execute, run_fuzz, snapshot, Campaign, ExecContext, FuzzConfig, FuzzInput, ShardConfig,
-    ShardedCampaign,
+    run_fuzz, snapshot, Campaign, ExecContext, FuzzConfig, FuzzInput, ShardConfig, ShardedCampaign,
+    NUM_CONFIGS,
 };
 
 /// The pinned campaign shared with CI, the README, and `fuzz_bench`.
@@ -102,12 +101,25 @@ fn killed_shards_resume_to_the_uninterrupted_bytes() {
 
 #[test]
 fn warm_executor_matches_the_cold_path() {
+    // "Cold" is a fresh context per input; "warm" is one shared context
+    // whose templates were booted by earlier inputs. Pinning each input
+    // to `i % NUM_CONFIGS` walks every template through reuse.
+    let key = |out: &dma_lab::fuzz::ExecOutcome| {
+        let keys: Vec<String> = out.findings.iter().map(|f| f.key()).collect();
+        (
+            out.signature,
+            out.status,
+            out.cycles,
+            keys,
+            out.profile.folded(),
+        )
+    };
     let mut cx = ExecContext::new();
-    for i in 0..8 {
-        let input = FuzzInput::generate(SEED, i);
-        let cold = execute(&input).unwrap();
+    for i in 0..2 * u64::from(NUM_CONFIGS) {
+        let mut input = FuzzInput::generate(SEED, i);
+        input.config_id = (i % u64::from(NUM_CONFIGS)) as u8;
+        let cold = ExecContext::new().execute(&input).unwrap();
         let warm = cx.execute(&input).unwrap();
-        assert_eq!(cold.signature, warm.signature, "iteration {i}");
-        assert_eq!(cold.status, warm.status, "iteration {i}");
+        assert_eq!(key(&cold), key(&warm), "iteration {i}");
     }
 }
