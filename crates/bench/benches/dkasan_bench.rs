@@ -1,26 +1,14 @@
 //! D-KASAN overhead (§4.3: "a run-time tool that has a large memory
 //! footprint and the obvious overhead of callbacks on each memory
-//! access"): event-replay throughput, the Figure-3 workload, and the
-//! deterministic shadow-cost profile exported to
-//! `BENCH_observability.json`.
+//! access"): event-replay throughput and the Figure-3 workload, written
+//! to `BENCH_dkasan.json` next to the deterministic shadow-cost profile
+//! (`dma_lab::benchfile::dkasan`).
 
-use bench::synth_events;
 use criterion::{criterion_group, Criterion};
 use dkasan::{run_workload, DKasan, FindingKind, WorkloadConfig};
-use dma_core::Metrics;
+use dma_lab::benchfile::{self, synth_events};
 
 const REPLAY_EVENTS: usize = 10_000;
-
-/// Deterministic section payload: replay the synthetic stream once and
-/// export the engine's own cost metrics (events, shadow updates,
-/// touches-per-event histogram, findings per class).
-fn replay_metrics_json() -> String {
-    let mut dk = DKasan::new();
-    dk.process(&synth_events(REPLAY_EVENTS));
-    let mut m = Metrics::new();
-    dk.publish_metrics(&mut m);
-    m.snapshot(0).to_json()
-}
 
 fn bench_replay(c: &mut Criterion) {
     let events = synth_events(REPLAY_EVENTS);
@@ -74,8 +62,8 @@ criterion_group!(benches, bench_replay, bench_workload);
 
 fn main() {
     let mut c = benches();
-    let det = vec![("replay_10k_events", replay_metrics_json())];
-    let results = c.take_results();
-    let path = bench::emit_section("dkasan", &det, &results).expect("write bench section");
-    eprintln!("section written: {}", path.display());
+    let deterministic = benchfile::dkasan().expect("replay");
+    let path = bench::write_report("dkasan", &deterministic, &c.take_results())
+        .expect("write BENCH_dkasan.json");
+    eprintln!("report written: {}", path.display());
 }

@@ -1,24 +1,20 @@
 //! Flight-recorder overhead and provenance-graph cost: how much the
 //! bounded ring buffer costs relative to the unbounded trace baseline,
 //! how fast the causal graph ingests an event stream, and how expensive
-//! one incident investigation is. The deterministic half — the pinned
-//! forensics campaign — plus the timing rows land in
-//! `BENCH_forensics.json`.
+//! one incident investigation is. The timing rows land in
+//! `BENCH_forensics.json` next to the pinned forensics campaign
+//! (`dma_lab::benchfile::forensics`).
 
 use criterion::{criterion_group, Criterion};
 use dma_core::{ProvenanceGraph, SimCtx};
-use fuzz::run_forensics;
-
-/// The pinned campaign every surface shares (CI, README, tests).
-const SEED: u64 = 7;
-const ITERS: u64 = 96;
+use dma_lab::benchfile::{self, synth_events, SEED};
 
 /// Events pushed per emit-benchmark iteration — enough to wrap the
 /// bounded ring several times.
 const STREAM: usize = 4096;
 
 fn bench_emit(c: &mut Criterion) {
-    let events = bench::synth_events(STREAM);
+    let events = synth_events(STREAM);
     let mut g = c.benchmark_group("forensics");
     g.sample_size(20);
     g.throughput(criterion::Throughput::Elements(STREAM as u64));
@@ -46,7 +42,7 @@ fn bench_emit(c: &mut Criterion) {
 }
 
 fn bench_graph(c: &mut Criterion) {
-    let events = bench::synth_events(STREAM);
+    let events = synth_events(STREAM);
     let mut g = c.benchmark_group("forensics");
     g.sample_size(10);
     g.throughput(criterion::Throughput::Elements(STREAM as u64));
@@ -88,14 +84,8 @@ criterion_group!(benches, bench_emit, bench_graph, bench_investigate);
 
 fn main() {
     let mut c = benches();
-    let report = run_forensics(SEED, ITERS).expect("pinned campaign");
-    eprintln!(
-        "== forensics campaign (seed {SEED}, {ITERS} iters): {} incident classes, {} callbacks, {} dropped ==",
-        report.cases.len(),
-        report.callbacks.len(),
-        report.trace_dropped
-    );
-    let results = c.take_results();
-    let path = bench::emit_forensics_report(&report, &results).expect("write BENCH_forensics.json");
+    let deterministic = benchfile::forensics().expect("pinned campaign");
+    let path = bench::write_report("forensics", &deterministic, &c.take_results())
+        .expect("write BENCH_forensics.json");
     eprintln!("report written: {}", path.display());
 }

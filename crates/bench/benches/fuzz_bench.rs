@@ -1,15 +1,11 @@
-//! Fuzzer throughput and coverage growth: wall-clock execs/sec plus the
-//! deterministic coverage-over-time series, exported to
-//! `BENCH_fuzz.json` (its own report — the fuzzer is a consumer of the
-//! observability stack, not a section of it).
+//! Fuzzer throughput: wall-clock cost of one exec on a fresh and on a
+//! warm context and of a short campaign, written to `BENCH_fuzz.json`
+//! next to the pinned campaign's coverage-over-time series
+//! (`dma_lab::benchfile::fuzz`).
 
 use criterion::{criterion_group, Criterion};
+use dma_lab::benchfile::{self, SEED};
 use fuzz::{run_fuzz, ExecContext, FuzzConfig, FuzzInput};
-
-/// The pinned campaign every surface shares (CI smoke, README, tests):
-/// seed 7 for 96 iterations rediscovers all four Figure-1 classes.
-const SEED: u64 = 7;
-const ITERS: u64 = 96;
 
 fn bench_execute(c: &mut Criterion) {
     let input = FuzzInput::generate(SEED, 0);
@@ -62,19 +58,8 @@ criterion_group!(benches, bench_execute, bench_execute_warm, bench_campaign);
 
 fn main() {
     let mut c = benches();
-    let report = run_fuzz(&FuzzConfig {
-        seed: SEED,
-        iters: ITERS,
-        corpus_dir: None,
-    })
-    .expect("pinned campaign");
-    eprintln!(
-        "== fuzz campaign (seed {SEED}, {ITERS} iters): {} bits, {} corpus, {} classes ==",
-        report.coverage_bits,
-        report.corpus.len(),
-        report.findings.len()
-    );
-    let results = c.take_results();
-    let path = bench::emit_fuzz_report(&report, &results).expect("write BENCH_fuzz.json");
+    let deterministic = benchfile::fuzz().expect("pinned campaign");
+    let path = bench::write_report("fuzz", &deterministic, &c.take_results())
+        .expect("write BENCH_fuzz.json");
     eprintln!("report written: {}", path.display());
 }

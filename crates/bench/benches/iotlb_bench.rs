@@ -1,14 +1,11 @@
-//! IOTLB behavior under load: hit/miss cost, strict-vs-deferred
-//! invalidation, and the §5.2.1 stale-window series — with the
-//! deterministic simulated-cycle snapshots exported alongside the
-//! wall-clock numbers via `BENCH_observability.json`.
+//! IOTLB behavior under load: hit/miss cost and strict-vs-deferred
+//! invalidation, written to `BENCH_iotlb.json` next to the §5.2.1
+//! simulated-cycle series (`dma_lab::benchfile::iotlb`).
 
-use bench::{iommu_setup, iotlb_series_json, one_io};
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use dma_core::vuln::DmaDirection;
+use dma_lab::benchfile::{self, iommu_setup, one_io};
 use sim_iommu::{dma_map_single, dma_unmap_single, InvalidationMode};
-
-const SERIES_IOS: usize = 500;
 
 fn bench_hit_vs_miss(c: &mut Criterion) {
     let mut g = c.benchmark_group("iotlb");
@@ -76,7 +73,7 @@ fn bench_invalidation_modes(c: &mut Criterion) {
                 || iommu_setup(mode),
                 |(mut ctx, mut mem, mut iommu)| {
                     for _ in 0..64 {
-                        one_io(&mut ctx, &mut mem, &mut iommu);
+                        one_io(&mut ctx, &mut mem, &mut iommu).unwrap();
                     }
                 },
                 BatchSize::SmallInput,
@@ -90,17 +87,8 @@ criterion_group!(benches, bench_hit_vs_miss, bench_invalidation_modes);
 
 fn main() {
     let mut c = benches();
-    let det = vec![
-        (
-            "strict_series",
-            iotlb_series_json(InvalidationMode::Strict, SERIES_IOS),
-        ),
-        (
-            "deferred_series",
-            iotlb_series_json(InvalidationMode::Deferred, SERIES_IOS),
-        ),
-    ];
-    let results = c.take_results();
-    let path = bench::emit_section("iotlb", &det, &results).expect("write bench section");
-    eprintln!("section written: {}", path.display());
+    let deterministic = benchfile::iotlb().expect("iotlb series");
+    let path = bench::write_report("iotlb", &deterministic, &c.take_results())
+        .expect("write BENCH_iotlb.json");
+    eprintln!("report written: {}", path.display());
 }

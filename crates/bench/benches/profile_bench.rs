@@ -1,6 +1,7 @@
 //! Cycle-attribution profiler benchmarks: what the profiled warm
-//! executor sustains and what the flamegraph exports cost, exported to
-//! `BENCH_profile.json` (its own report, like `BENCH_fuzz.json`).
+//! executor sustains and what the flamegraph exports cost, written to
+//! `BENCH_profile.json` next to the pinned profile's run facts and
+//! phase breakdown (`dma_lab::benchfile::profile`).
 //!
 //! Timing rows:
 //!
@@ -9,27 +10,20 @@
 //!   one context, single-threaded).
 //! - `folded_export` / `speedscope_export` — serialising the merged
 //!   tree to folded-stack lines and speedscope JSON.
-//!
-//! The deterministic half is `ProfileRun::deterministic_json` — run
-//! facts, the hottest self-cycle frame, and the per-exec phase
-//! breakdown — which `dma-lab bench --check BENCH_profile.json`
-//! re-derives, plus the two-run folded byte-identity verdict.
 
 use criterion::{BenchResult, Throughput};
+use dma_lab::benchfile::{self, SEED};
 use dma_lab::profiling::{run_profile, ProfileConfig};
 use std::time::Instant;
 
-/// The pinned campaign seed every surface shares (CI smoke, README).
-const SEED: u64 = 7;
 /// Iteration budget of the pinned profile workload.
 const ITERS: u64 = 96;
 
 fn main() {
     let mut timing = Vec::new();
 
-    let cfg = ProfileConfig::new(SEED, ITERS);
     let start = Instant::now();
-    let run = run_profile(&cfg).expect("profile workload");
+    let run = run_profile(&ProfileConfig::new(SEED, ITERS)).expect("profile workload");
     let ns = (start.elapsed().as_nanos() / u128::from(ITERS)) as u64;
     timing.push(BenchResult {
         group: "profile".into(),
@@ -39,10 +33,6 @@ fn main() {
         throughput: Some(Throughput::Elements(1)),
     });
     eprintln!("== profile workload: {ns} ns/exec ==");
-
-    // Two-run byte-identity of the folded output.
-    let rerun = run_profile(&cfg).expect("profile workload rerun");
-    let folded_identical = run.profile.folded() == rerun.profile.folded();
 
     let start = Instant::now();
     let folded = run.profile.folded();
@@ -66,17 +56,8 @@ fn main() {
         throughput: Some(Throughput::Elements(speedscope.len() as u64)),
     });
 
-    let (top_frame, top_cycles) = run.profile.top_self().unwrap_or_default();
-    eprintln!(
-        "== seed {SEED}, {ITERS} iters: {} execs, {} total cycles, hottest {top_frame} ({top_cycles} self cycles) ==",
-        run.execs, run.total_cycles
-    );
-
-    let path = bench::emit_profile_report(&run.deterministic_json(), folded_identical, &timing)
-        .expect("write BENCH_profile.json");
+    let deterministic = benchfile::profile().expect("profile workload");
+    let path =
+        bench::write_report("profile", &deterministic, &timing).expect("write BENCH_profile.json");
     eprintln!("report written: {}", path.display());
-    if !folded_identical {
-        eprintln!("folded-output byte-identity check failed");
-        std::process::exit(1);
-    }
 }

@@ -1,6 +1,7 @@
 //! Crash-safety cost model: what the DESIGN.md §11 robustness layers
-//! charge per execution and per checkpoint, exported to
-//! `BENCH_resilience.json`.
+//! charge per execution and per checkpoint, written to
+//! `BENCH_resilience.json` next to the kill-and-resume verdict and
+//! payload sizes (`dma_lab::benchfile::resilience`).
 //!
 //! Timing rows:
 //! - `checkpoint_save_small` / `checkpoint_save_large` — A/B store
@@ -9,24 +10,14 @@
 //!   generation.
 //! - `exec_plain` vs `exec_guarded` — the same input on a fresh
 //!   execution context, bare and through `catch_unwind` + watchdog
-//!   budget; their ratio is the `guard_overhead_x` the campaign pays on
-//!   every iteration.
-//!
-//! The deterministic half re-runs the kill-and-resume experiment and
-//! records its verdict, so the bench file also witnesses the
-//! byte-identity contract.
+//!   budget.
 
 use criterion::{criterion_group, Criterion};
-use dma_core::jsonw::JsonWriter;
 use dma_core::CheckpointStore;
-use fuzz::{
-    kill_and_resume, Campaign, CampaignConfig, ExecContext, FuzzInput, DEFAULT_WATCHDOG_BUDGET,
-};
+use dma_lab::benchfile::{self, checkpoint_payload, SEED};
+use fuzz::{ExecContext, FuzzInput, DEFAULT_WATCHDOG_BUDGET};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-
-/// The pinned campaign every surface shares (CI smoke, README, tests).
-const SEED: u64 = 7;
 
 fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -35,16 +26,9 @@ fn tmp(name: &str) -> PathBuf {
     ))
 }
 
-/// Snapshot payload of a campaign run for `iters` iterations.
-fn payload_at(iters: u64) -> String {
-    let mut c = Campaign::new(CampaignConfig::new(SEED, iters)).expect("campaign");
-    c.run_to_end().expect("run");
-    c.snapshot_payload()
-}
-
 fn bench_checkpoint_io(c: &mut Criterion) {
-    let small = payload_at(8);
-    let large = payload_at(64);
+    let small = checkpoint_payload(8).expect("campaign");
+    let large = checkpoint_payload(64).expect("campaign");
     let mut g = c.benchmark_group("resilience");
     g.sample_size(20);
     for (id, payload) in [
@@ -97,44 +81,8 @@ criterion_group!(benches, bench_checkpoint_io, bench_guard_overhead);
 
 fn main() {
     let mut c = benches();
-
-    // Deterministic half: the kill-and-resume experiment, pinned.
-    let dir = tmp("kill-resume");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut cfg = CampaignConfig::new(SEED, 24);
-    cfg.checkpoint_dir = Some(dir.clone());
-    cfg.checkpoint_every = 6;
-    let out = kill_and_resume(&cfg, 13).expect("kill and resume");
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(
-        out.identical(),
-        "resumed report diverged from uninterrupted"
-    );
-    eprintln!(
-        "== kill at {} / resume from {}: byte-identical={} recovered={} ==",
-        out.kill_at,
-        out.resumed_from,
-        out.identical(),
-        out.recovered
-    );
-
-    let small = payload_at(8);
-    let large = payload_at(64);
-    let mut w = JsonWriter::new();
-    w.obj(|w| {
-        w.field_u64("seed", SEED);
-        w.field_u64("iters", 24);
-        w.field_u64("kill_at", out.kill_at);
-        w.field_u64("resumed_from", out.resumed_from);
-        w.field_bool("byte_identical", out.identical());
-        w.field_u64("recovered_generations", out.recovered);
-        w.field_u64("payload_bytes_8_iters", small.len() as u64);
-        w.field_u64("payload_bytes_64_iters", large.len() as u64);
-    });
-    let deterministic = w.finish();
-
-    let results = c.take_results();
-    let path = bench::emit_resilience_report(&deterministic, &results)
+    let deterministic = benchfile::resilience().expect("kill and resume");
+    let path = bench::write_report("resilience", &deterministic, &c.take_results())
         .expect("write BENCH_resilience.json");
     eprintln!("report written: {}", path.display());
 }

@@ -1,6 +1,6 @@
-//! Telemetry-service cost model: what one `dma-lab serve` frame costs
-//! and how much the delta encoding saves over full snapshots, exported
-//! to `BENCH_serve.json`.
+//! Telemetry-service cost model: what one `dma-lab serve` frame costs,
+//! written to `BENCH_serve.json` next to the pinned session's
+//! transcript and frame sizes (`dma_lab::benchfile::serve`).
 //!
 //! Timing rows:
 //! - `stats_full_frame` — serving one full-snapshot `stats` frame.
@@ -8,33 +8,11 @@
 //!   the connection's previous baseline.
 //! - `step_frame` — advancing the campaign one iteration and draining
 //!   its event frames.
-//! - `posture_sweep` — the four-config posture audit.
-//!
-//! The deterministic half replays the pinned scripted session twice and
-//! records the byte-identity verdict plus the snapshot-vs-delta frame
-//! sizes the `delta_ratio` figure is derived from.
+//! - `posture_sweep` — the nine-config posture audit.
 
 use criterion::{criterion_group, Criterion};
-use dma_core::jsonw::JsonWriter;
-use dma_lab::serve::{ConnState, Flow, ServeConfig, Server};
-
-/// The pinned campaign every surface shares (CI smoke, README, tests).
-const SEED: u64 = 7;
-
-/// A warmed server: the campaign has stepped enough for metrics and
-/// findings to exist, so stats frames are representative.
-fn warmed_server(steps: u64) -> Server {
-    let mut server = Server::new(ServeConfig::new(SEED, 10_000)).expect("server");
-    let mut conn = ConnState::default();
-    let mut out = Vec::new();
-    let flow = server.handle_line(
-        &format!("{{\"req\":\"step\",\"n\":{steps}}}"),
-        &mut conn,
-        &mut out,
-    );
-    assert!(matches!(flow, Flow::Continue));
-    server
-}
+use dma_lab::benchfile::{self, warmed_server};
+use dma_lab::serve::{ConnState, Flow, Server};
 
 fn one_frame(server: &mut Server, conn: &mut ConnState, req: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -49,14 +27,14 @@ fn bench_frames(c: &mut Criterion) {
     g.throughput(criterion::Throughput::Elements(1));
 
     {
-        let mut server = warmed_server(64);
+        let mut server = warmed_server(64).expect("server");
         let mut conn = ConnState::default();
         g.bench_function("stats_full_frame", |b| {
             b.iter(|| std::hint::black_box(one_frame(&mut server, &mut conn, r#"{"req":"stats"}"#)))
         });
     }
     {
-        let mut server = warmed_server(64);
+        let mut server = warmed_server(64).expect("server");
         let mut conn = ConnState::default();
         // Establish the baseline once; every measured frame is a delta.
         one_frame(&mut server, &mut conn, r#"{"req":"stats"}"#);
@@ -71,7 +49,7 @@ fn bench_frames(c: &mut Criterion) {
         });
     }
     {
-        let mut server = warmed_server(8);
+        let mut server = warmed_server(8).expect("server");
         let mut conn = ConnState::default();
         g.bench_function("step_frame", |b| {
             b.iter(|| {
@@ -80,7 +58,7 @@ fn bench_frames(c: &mut Criterion) {
         });
     }
     {
-        let mut server = warmed_server(8);
+        let mut server = warmed_server(8).expect("server");
         let mut conn = ConnState::default();
         g.bench_function("posture_sweep", |b| {
             b.iter(|| {
@@ -93,82 +71,10 @@ fn bench_frames(c: &mut Criterion) {
 
 criterion_group!(benches, bench_frames);
 
-/// The scripted session both deterministic runs replay.
-const SCRIPT: &str = "\
-{\"req\":\"hello\"}
-{\"req\":\"step\",\"n\":48}
-{\"req\":\"stats\"}
-{\"req\":\"step\",\"n\":16}
-{\"req\":\"stats\",\"mode\":\"delta\"}
-{\"req\":\"health\"}
-{\"req\":\"posture\"}
-{\"req\":\"shutdown\"}
-";
-
-/// Snapshot-vs-delta sizes from one warmed connection: a full stats
-/// frame, the idle delta straight after it (nothing changed — the
-/// common polling case), then four more iterations and the active
-/// delta against the same baseline.
-fn frame_sizes() -> (u64, u64, u64) {
-    let bytes = |frames: Vec<String>| frames.iter().map(|f| f.len() as u64).sum::<u64>();
-    let mut server = warmed_server(64);
-    let mut conn = ConnState::default();
-    let full = bytes(one_frame(&mut server, &mut conn, r#"{"req":"stats"}"#));
-    let idle = bytes(one_frame(
-        &mut server,
-        &mut conn,
-        r#"{"req":"stats","mode":"delta"}"#,
-    ));
-    one_frame(&mut server, &mut conn, r#"{"req":"step","n":4}"#);
-    let active = bytes(one_frame(
-        &mut server,
-        &mut conn,
-        r#"{"req":"stats","mode":"delta"}"#,
-    ));
-    (full, idle, active)
-}
-
 fn main() {
     let mut c = benches();
-
-    // Deterministic half: two seeded replays of the pinned script must
-    // produce byte-identical transcripts.
-    let transcript = |seed| {
-        let mut server = Server::new(ServeConfig::new(seed, 10_000)).expect("server");
-        server.run_script(SCRIPT)
-    };
-    let a = transcript(SEED);
-    let b = transcript(SEED);
-    let identical = a == b;
-    assert!(identical, "seeded serve transcripts diverged");
-    let frames = a.lines().count() as u64;
-
-    let (full_bytes, idle_bytes, active_bytes) = frame_sizes();
-    eprintln!(
-        "== transcript: {frames} frames, byte-identical={identical}; \
-         stats full={full_bytes}B delta idle={idle_bytes}B active={active_bytes}B ==",
-    );
-
-    let mut w = JsonWriter::new();
-    w.obj(|w| {
-        w.field_u64("seed", SEED);
-        w.field_u64("script_requests", SCRIPT.lines().count() as u64);
-        w.field_u64("transcript_frames", frames);
-        w.field_u64("transcript_bytes", a.len() as u64);
-        w.field_bool("byte_identical", identical);
-        w.field_u64("stats_full_bytes", full_bytes);
-        w.field_u64("stats_delta_idle_bytes", idle_bytes);
-        w.field_u64("stats_delta_active_bytes", active_bytes);
-        if full_bytes > 0 {
-            // Active ratio: the frame a poller pays when the campaign
-            // moved. Idle ratio: the (much smaller) no-change frame.
-            w.field_f64("delta_ratio", active_bytes as f64 / full_bytes as f64);
-            w.field_f64("delta_idle_ratio", idle_bytes as f64 / full_bytes as f64);
-        }
-    });
-    let deterministic = w.finish();
-
-    let results = c.take_results();
-    let path = bench::emit_serve_report(&deterministic, &results).expect("write BENCH_serve.json");
+    let deterministic = benchfile::serve().expect("scripted session");
+    let path = bench::write_report("serve", &deterministic, &c.take_results())
+        .expect("write BENCH_serve.json");
     eprintln!("report written: {}", path.display());
 }

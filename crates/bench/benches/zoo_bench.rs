@@ -1,6 +1,7 @@
 //! Device-zoo benchmarks: what channel inference costs and what each
-//! zoo member's warm executor sustains, exported to `BENCH_zoo.json`
-//! (its own report, like `BENCH_fuzz.json`).
+//! zoo member's warm executor sustains, written to `BENCH_zoo.json`
+//! next to each device family's inferred channel map
+//! (`dma_lab::benchfile::zoo`).
 //!
 //! Two timing families per device family (NIC config 0, virtio config
 //! 5, NVMe config 7):
@@ -12,22 +13,13 @@
 //! - `exec_warm_<dev>` — one fuzz exec on the warm template executor,
 //!   inputs pinned to the device's config (the per-device execs/sec the
 //!   campaign planner reads).
-//!
-//! The deterministic half records each device's inferred channel count,
-//! kinds, and events consumed, plus the two-run byte-identity verdict
-//! CI cross-checks against `dma-lab infer`.
 
 use criterion::{BenchResult, Throughput};
-use dma_core::jsonw::JsonWriter;
 use dma_core::Event;
-use fuzz::{
-    config_device, config_name, infer_channels, machine_config, ChannelInference, ExecContext,
-    FuzzInput,
-};
+use dma_lab::benchfile::{self, SEED};
+use fuzz::{config_device, machine_config, ChannelInference, ExecContext, FuzzInput};
 use std::time::Instant;
 
-/// The pinned campaign seed every surface shares (CI smoke, README).
-const SEED: u64 = 7;
 /// One representative config per device family.
 const FAMILY_CONFIGS: [u8; 3] = [0, 5, 7];
 /// Trace events per inference timing row.
@@ -57,7 +49,6 @@ fn capture_events(config: u8) -> Vec<Event> {
 
 fn main() {
     let mut timing = Vec::new();
-    let mut det_rows = Vec::new();
 
     for &config in &FAMILY_CONFIGS {
         let dev = config_device(config).name();
@@ -107,46 +98,9 @@ fn main() {
             throughput: Some(Throughput::Elements(1)),
         });
         eprintln!("== {dev}: warm exec: {exec_ns} ns/exec ==");
-
-        // Deterministic facts: the inferred map and its byte-identity.
-        let map = infer_channels(SEED, config).expect("inference");
-        let identical = map.to_json() == infer_channels(SEED, config).expect("rerun").to_json();
-        det_rows.push((config, dev, map, identical));
     }
 
-    let mut det = JsonWriter::new();
-    det.obj(|w| {
-        w.field_u64("seed", SEED);
-        w.field("devices", |w| {
-            w.arr(|w| {
-                for (config, dev, map, identical) in &det_rows {
-                    w.elem(|w| {
-                        w.obj(|w| {
-                            w.field_str("device", dev);
-                            w.field_str("config", config_name(*config));
-                            w.field_u64("trace_events", map.events);
-                            w.field_u64("channels", map.channels.len() as u64);
-                            w.field("kinds", |w| {
-                                w.arr(|w| {
-                                    for c in &map.channels {
-                                        w.elem(|w| {
-                                            w.raw(&format!("\"{}\"", c.kind.name()));
-                                        });
-                                    }
-                                });
-                            });
-                            w.field_bool("two_run_byte_identical", *identical);
-                        });
-                    });
-                }
-            });
-        });
-    });
-
-    let path = bench::emit_zoo_report(&det.finish(), &timing).expect("write BENCH_zoo.json");
+    let deterministic = benchfile::zoo().expect("channel inference");
+    let path = bench::write_report("zoo", &deterministic, &timing).expect("write BENCH_zoo.json");
     eprintln!("report written: {}", path.display());
-    if det_rows.iter().any(|(_, _, _, identical)| !identical) {
-        eprintln!("inference byte-identity check failed");
-        std::process::exit(1);
-    }
 }

@@ -299,17 +299,19 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
+                    // Copy the run up to the next quote, backslash or
+                    // control byte. All three are ASCII, so the run ends
+                    // on a character boundary of the `&str` input and
+                    // multi-byte UTF-8 sequences pass through verbatim.
                     let start = self.pos;
-                    let rest = &self.bytes[start..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid utf-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -439,6 +441,34 @@ mod tests {
         }
         let e = parse("[1,").unwrap_err();
         assert!(e.to_string().contains("byte 3"), "{e}");
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_the_document() {
+        // ~1 MiB of escaped and multi-byte strings. A reader that
+        // re-scans the rest of the document per character takes minutes
+        // on this; a linear one takes milliseconds even in a debug build.
+        let item = r#""ascii run then \"escapes\"\n, é, 日本, \u00e9 and more text""#;
+        let doc = format!("[{}]", vec![item; 17_000].join(","));
+        assert!(doc.len() > 1 << 20, "{}", doc.len());
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = start.elapsed();
+        let arr = v.as_arr().unwrap();
+        assert_eq!(arr.len(), 17_000);
+        assert_eq!(
+            arr[16_999].as_str(),
+            Some("ascii run then \"escapes\"\n, é, 日本, é and more text")
+        );
+        assert!(elapsed.as_secs() < 5, "1 MiB parse took {elapsed:?}");
+    }
+
+    #[test]
+    fn raw_control_characters_are_rejected_at_their_offset() {
+        let e = parse("\"ab\u{1}c\"").unwrap_err();
+        assert_eq!(e.what, "raw control character in string");
+        assert_eq!(e.offset, 3);
+        assert_eq!(parse("\"日\u{7f}\"").unwrap().as_str(), Some("日\u{7f}"));
     }
 
     #[test]

@@ -49,19 +49,6 @@ pub const FRAG_SIZE: usize = 16;
 /// Maximum number of fragments (`MAX_SKB_FRAGS`).
 pub const MAX_FRAGS: usize = 17;
 
-/// The device-writable `skb_shared_info` fields the fuzzer's mutation
-/// engine targets, as `(name, byte offset, field width)`. Every entry
-/// lies inside the DMA-mapped window of §3.2 type (b): a device write
-/// at `shinfo_base + offset` tampers with exactly this field.
-pub const DEVICE_WRITABLE_FIELDS: &[(&str, usize, usize)] = &[
-    ("nr_frags", SHINFO_NR_FRAGS, 1),
-    ("gso_size", SHINFO_GSO_SIZE, 2),
-    ("frag_list", SHINFO_FRAG_LIST, 8),
-    ("dataref", SHINFO_DATAREF, 4),
-    ("destructor_arg", SHINFO_DESTRUCTOR_ARG, 8),
-    ("frags0_page", SHINFO_FRAGS, 8),
-];
-
 /// Size of `ubuf_info` in bytes.
 pub const UBUF_INFO_SIZE: usize = 24;
 /// Offset of the `callback` function pointer inside `ubuf_info`.
@@ -273,9 +260,6 @@ mod tests {
         let darg = SHINFO_DESTRUCTOR_ARG;
         assert!(darg + 8 <= frags);
         assert_eq!(UBUF_INFO_SIZE, 24);
-        for &(name, off, width) in DEVICE_WRITABLE_FIELDS {
-            assert!(off + width <= SHINFO_SIZE, "{name} overruns shinfo");
-        }
     }
 
     #[test]

@@ -32,7 +32,10 @@
 //!   deltas, the IOMMU posture audit, Perfetto export).
 //! - [`profiling`] — the deterministic cycle-attribution profiler
 //!   behind `dma-lab profile` (hierarchical span trees, flamegraph
-//!   export) and the `dma-lab bench --check` trajectory gate.
+//!   export).
+//! - [`benchfile`] — the committed `BENCH_*.json` reports: one function
+//!   per report kind that re-derives its deterministic half, and the
+//!   `dma-lab bench --check` gate that compares every value.
 //!
 //! ## Quickstart
 //!
@@ -45,6 +48,7 @@
 //! assert_eq!(tb.stack.stats.delivered, 1);
 //! ```
 
+pub mod benchfile;
 pub mod obs;
 pub mod profiling;
 pub mod serve;

@@ -483,18 +483,39 @@ fn profile_json_is_valid_speedscope() {
 
 #[test]
 fn bench_check_passes_the_committed_zoo_trajectory() {
-    // BENCH_zoo.json's deterministic half re-derives in seconds (three
-    // traced boots); the heavier fuzz/scale/profile gates run in CI's
-    // release job.
+    // Every committed report whose workload re-derives in about two
+    // seconds in a debug build, zoo included; `scale` (four sharded
+    // campaigns) is left to CI's release-mode gate over BENCH_*.json.
     let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (code, out) = run(&[
-        "bench",
-        "--check",
-        repo.join("BENCH_zoo.json").to_str().unwrap(),
-    ]);
+    let kinds = [
+        "zoo",
+        "iotlb",
+        "dkasan",
+        "profile",
+        "forensics",
+        "fuzz",
+        "serve",
+        "resilience",
+    ];
+    let files: Vec<String> = kinds
+        .iter()
+        .map(|k| repo.join(format!("BENCH_{k}.json")).display().to_string())
+        .collect();
+    let mut args = vec!["bench", "--check"];
+    args.extend(files.iter().map(String::as_str));
+    let (code, out) = run(&args);
     assert_eq!(code, 0, "{out}");
-    assert!(out.contains("trace_events: committed"), "{out}");
-    assert!(!out.contains("REGRESSED"), "{out}");
+    for (kind, file) in kinds.iter().zip(&files) {
+        assert!(
+            out.contains(&format!("{file} [{kind}]: ok, ")),
+            "{kind}: {out}"
+        );
+    }
+    assert_eq!(out.lines().count(), kinds.len(), "{out}");
+    assert!(
+        !out.contains("REGRESSED") && !out.contains("skipped"),
+        "{out}"
+    );
 }
 
 #[test]
@@ -503,13 +524,15 @@ fn bench_check_fails_on_a_planted_regression_and_malformed_files() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    // A zoo trajectory whose committed channel count is wrong: the
-    // re-run disagrees, so the gate must exit 1 and say REGRESSED.
-    let planted = dir.join("BENCH_planted.json");
+    // The committed zoo report with one device name changed — a value
+    // no hand-picked field list ever watched. The gate compares every
+    // value, so it must exit 1 and name the path.
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let committed = std::fs::read_to_string(repo.join("BENCH_zoo.json")).unwrap();
+    let planted = dir.join("BENCH_zoo.json");
     std::fs::write(
         &planted,
-        "{\"report\":\"zoo\",\"deterministic\":{\"seed\":7,\"devices\":[\
-         {\"device\":\"nic\",\"config\":\"pagefrag-deferred\",\"channels\":99}]}}",
+        committed.replacen("\"device\":\"nic\"", "\"device\":\"nvme\"", 1),
     )
     .unwrap();
     let result = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
@@ -518,18 +541,62 @@ fn bench_check_fails_on_a_planted_regression_and_malformed_files() {
         .expect("binary runs");
     assert_eq!(result.status.code(), Some(1), "planted regression passes?");
     let out = String::from_utf8_lossy(&result.stdout);
-    assert!(out.contains("REGRESSED"), "{out}");
+    assert!(
+        out.contains(
+            "deterministic.devices[0].device: committed \"nvme\" vs re-derived \"nic\" REGRESSED"
+        ),
+        "{out}"
+    );
 
-    // Structurally invalid files are run errors (1), not regressions.
+    // Files the gate cannot check are run errors (1), not regressions.
     let malformed = dir.join("BENCH_malformed.json");
-    std::fs::write(&malformed, "{\"report\":\"zoo\"}").unwrap();
+    for (body, why) in [
+        ("not json", "not valid JSON"),
+        ("{\"deterministic\":{}}", "missing \"report\""),
+        ("{\"report\":\"zoo\"}", "missing \"deterministic\""),
+    ] {
+        std::fs::write(&malformed, body).unwrap();
+        let result = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
+            .args(["bench", "--check", malformed.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(result.status.code(), Some(1), "{body}");
+        let err = String::from_utf8_lossy(&result.stderr);
+        assert!(err.contains(why), "{body}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bench_check_fails_an_unknown_kind_and_still_checks_the_rest() {
+    let dir = std::env::temp_dir().join(format!("dma-lab-cli-unknown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let unknown = dir.join("BENCH_observability.json");
+    std::fs::write(
+        &unknown,
+        "{\"report\":\"observability\",\"deterministic\":{},\"timing\":[]}",
+    )
+    .unwrap();
+    let zoo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_zoo.json");
     let result = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-        .args(["bench", "--check", malformed.to_str().unwrap()])
+        .args([
+            "bench",
+            "--check",
+            unknown.to_str().unwrap(),
+            zoo.to_str().unwrap(),
+        ])
         .output()
         .expect("binary runs");
-    assert_eq!(result.status.code(), Some(1));
+    assert_eq!(result.status.code(), Some(1), "an unknown kind must fail");
+    let out = String::from_utf8_lossy(&result.stdout);
     let err = String::from_utf8_lossy(&result.stderr);
-    assert!(err.contains("deterministic"), "{err}");
+    assert!(err.contains("unknown report kind 'observability'"), "{err}");
+    assert!(
+        out.contains("[zoo]: ok, "),
+        "later files are still checked: {out}"
+    );
+    assert!(!out.contains("skipped"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
