@@ -131,7 +131,9 @@ pub trait DeviceModel: Send {
     fn colocates_random(&self) -> bool;
     /// SPADE-style posture report from the live IOMMU state.
     fn posture(&self, label: &str) -> PostureReport;
-    /// Deep copy (templates in the warm executor clone per exec).
+    /// An independent copy (templates in the warm executor clone per
+    /// exec). It costs what the machine has touched: resident frames are
+    /// copied, page-table nodes and kernel text are shared copy-on-write.
     fn clone_model(&self) -> Box<dyn DeviceModel>;
 }
 
@@ -181,7 +183,10 @@ mod tests {
     fn a_clone_behaves_exactly_like_a_fresh_boot() {
         // The fuzz executor runs every input on a clone of a booted
         // template; that is sound only if a clone and a second boot of
-        // the same config evolve identically under the same ops.
+        // the same config evolve identically under the same ops. Clones
+        // share page-table nodes and kernel text with the template until
+        // they write, so a second clone, run after the first, must match
+        // too: a write that leaked into the template would not.
         for kind in [
             DeviceKind::Nic,
             DeviceKind::VirtioSplit,
@@ -212,9 +217,14 @@ mod tests {
             };
             let template = boot_model(cfg, BootSpec::Recorded(8192)).unwrap();
             let cloned = run(template.clone_model());
+            let second = run(template.clone_model());
             let booted = run(boot_model(cfg, BootSpec::Recorded(8192)).unwrap());
             assert!(!cloned.0.is_empty(), "{kind:?} emitted no events");
             assert_eq!(cloned, booted, "{kind:?}: clone diverged from a fresh boot");
+            assert_eq!(
+                second, booted,
+                "{kind:?}: the first clone leaked into the template"
+            );
         }
     }
 

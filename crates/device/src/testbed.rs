@@ -74,10 +74,11 @@ impl From<MemConfigLite> for MemConfig {
 
 /// The assembled machine.
 ///
-/// `Clone` performs a deep copy of the whole machine — memory, IOMMU,
-/// rings, stack — which is what lets a fuzzing shard boot one template
-/// per machine config and stamp out per-exec copies instead of
-/// re-running the (far more expensive) boot sequence.
+/// `Clone` yields an independent machine — memory, IOMMU, rings, stack
+/// — which is what lets a fuzzing shard boot one template per machine
+/// config and stamp out per-exec copies instead of re-running the (far
+/// more expensive) boot sequence. It copies only the touched physical
+/// frames; page-table nodes and kernel text are shared copy-on-write.
 #[derive(Clone)]
 pub struct Testbed {
     /// Simulation context (clock + trace).

@@ -358,12 +358,14 @@ pub const EXEC_RECORDER_CAPACITY: usize = 8192;
 /// buffer. Every fuzz input runs through a context; a "cold" run is
 /// simply a fresh one.
 ///
-/// Booting a machine is ~90% of a first execution's cost, yet for a
-/// given `(config_id, seed)` every boot is identical. A context boots
-/// each of the [`NUM_CONFIGS`] matrix rows once, on first use, and
-/// deep-clones the template per exec — the clone carries the exact
-/// post-boot state a fresh boot produces (allocator layout, recorder
-/// contents, metrics), so an exec on a long-lived context is
+/// For a given `(config_id, seed)` every boot is identical, and a boot
+/// costs far more than a clone of its result. A context boots each of
+/// the [`NUM_CONFIGS`] matrix rows once, on first use, and clones the
+/// template per exec. A clone copies only the physical frames the
+/// template has touched; its IOMMU page-table nodes and kernel text stay
+/// shared copy-on-write until the clone writes them. It carries the
+/// exact post-boot state a fresh boot produces (allocator layout,
+/// recorder contents, metrics), so an exec on a long-lived context is
 /// outcome-identical to one on a fresh context; tests/scale.rs and the
 /// `devsim` clone tests pin this. The input-byte staging buffer is
 /// reused across execs instead of re-allocated per exec.
@@ -389,8 +391,8 @@ impl ExecContext {
         }
     }
 
-    /// A ready-to-run machine for `input`'s configuration: a deep clone
-    /// of the cached boot template (booting it first if this is the
+    /// A ready-to-run machine for `input`'s configuration: a clone of
+    /// the cached boot template (booting it first if this is the
     /// slot's first use or the seed changed).
     fn model(&mut self, config_id: u8, seed: u64) -> Result<Box<dyn DeviceModel>> {
         let cfg = machine_config(config_id, seed); // validates the id

@@ -25,7 +25,8 @@ pub struct IotlbEntry {
 #[derive(Clone, Debug)]
 pub struct Iotlb {
     entries: HashMap<(DeviceId, u64), IotlbEntry>,
-    /// FIFO of insertion order for capacity eviction.
+    /// The keys of `entries`, oldest insertion first (capacity eviction
+    /// is FIFO).
     order: VecDeque<(DeviceId, u64)>,
     capacity: usize,
 }
@@ -51,11 +52,8 @@ impl Iotlb {
     pub fn fill(&mut self, dev: DeviceId, iova: Iova, pfn: Pfn, right: AccessRight) {
         let key = (dev, iova.page_align_down().raw());
         if self.entries.len() >= self.capacity && !self.entries.contains_key(&key) {
-            // FIFO eviction; skip keys already removed by invalidation.
-            while let Some(old) = self.order.pop_front() {
-                if self.entries.remove(&old).is_some() {
-                    break;
-                }
+            if let Some(oldest) = self.order.pop_front() {
+                self.entries.remove(&oldest);
             }
         }
         if self
@@ -78,9 +76,15 @@ impl Iotlb {
     ///
     /// Returns `true` if an entry was present.
     pub fn invalidate(&mut self, dev: DeviceId, iova: Iova) -> bool {
-        self.entries
-            .remove(&(dev, iova.page_align_down().raw()))
-            .is_some()
+        let key = (dev, iova.page_align_down().raw());
+        if self.entries.remove(&key).is_none() {
+            return false;
+        }
+        // Strict mode invalidates what it just filled: search from the back.
+        if let Some(i) = self.order.iter().rposition(|k| *k == key) {
+            self.order.remove(i);
+        }
+        true
     }
 
     /// Marks a translation stale (deferred-mode unmap): the entry keeps
@@ -165,6 +169,30 @@ mod tests {
         assert!(t.lookup(1, Iova(0x2000)).is_some());
         assert!(t.lookup(1, Iova(0x3000)).is_some());
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn a_refilled_entry_is_evicted_in_fifo_order() {
+        let mut t = Iotlb::new(2);
+        t.fill(1, Iova(0xa000), Pfn(1), AccessRight::Read);
+        t.fill(1, Iova(0xb000), Pfn(2), AccessRight::Read);
+        assert!(t.invalidate(1, Iova(0xa000)));
+        t.fill(1, Iova(0xa000), Pfn(3), AccessRight::Read);
+        t.fill(1, Iova(0xc000), Pfn(4), AccessRight::Read);
+        assert!(t.lookup(1, Iova(0xb000)).is_none(), "B is the oldest entry");
+        assert_eq!(t.lookup(1, Iova(0xa000)).map(|e| e.pfn), Some(Pfn(3)));
+        assert!(t.lookup(1, Iova(0xc000)).is_some());
+
+        // Strict-mode churn below capacity must not grow the FIFO.
+        let mut t = Iotlb::new(4);
+        for i in 0..1000u64 {
+            let iova = Iova(0x10_0000 + (i % 7) * 0x1000);
+            t.fill(1, iova, Pfn(i), AccessRight::Write);
+            assert!(t.invalidate(1, iova));
+            assert!(t.order.len() <= t.capacity, "cycle {i}");
+        }
+        assert!(t.is_empty());
+        assert!(t.order.is_empty());
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! A 4-level radix I/O page table, structurally like VT-d second-level
 //! translation: 9 bits per level, 4 KiB leaves, per-leaf access rights.
+//!
+//! Table nodes are shared copy-on-write: a cloned table aliases every
+//! node of the original until one side maps or unmaps beneath it.
 
 use dma_core::{AccessRight, DmaError, Iova, Pfn, Result, PAGE_SHIFT};
+use std::sync::Arc;
 
 const LEVEL_BITS: u32 = 9;
 const FANOUT: usize = 1 << LEVEL_BITS;
@@ -19,13 +23,13 @@ pub struct IoPte {
 
 #[derive(Clone)]
 enum Node {
-    Table(Box<[Option<Node>; FANOUT]>),
+    Table(Arc<[Option<Node>; FANOUT]>),
     Leaf(IoPte),
 }
 
 impl Node {
     fn new_table() -> Node {
-        Node::Table(Box::new(std::array::from_fn(|_| None)))
+        Node::Table(Arc::new(std::array::from_fn(|_| None)))
     }
 }
 
@@ -60,7 +64,8 @@ impl IoPageTable {
         self.mapped_pages
     }
 
-    /// Installs a translation for the page containing `iova`.
+    /// Installs a translation for the page containing `iova`, unsharing
+    /// each node on the way down.
     ///
     /// Fails with [`DmaError::AlreadyMapped`] if the page already has one
     /// (Linux never silently overwrites a live IOVA mapping).
@@ -72,12 +77,12 @@ impl IoPageTable {
             let Node::Table(slots) = node else {
                 return Err(DmaError::Invariant("leaf at interior level"));
             };
-            node = slots[idx].get_or_insert_with(Node::new_table);
+            node = Arc::make_mut(slots)[idx].get_or_insert_with(Node::new_table);
         }
         let Node::Table(slots) = node else {
             return Err(DmaError::Invariant("leaf at interior level"));
         };
-        let slot = &mut slots[index(iova, 0)];
+        let slot = &mut Arc::make_mut(slots)[index(iova, 0)];
         if slot.is_some() {
             return Err(DmaError::AlreadyMapped(iova.raw()));
         }
@@ -87,7 +92,7 @@ impl IoPageTable {
     }
 
     /// Removes the translation for the page containing `iova`, returning
-    /// the old entry.
+    /// the old entry; unshares each node on the way down.
     pub fn unmap(&mut self, iova: Iova) -> Result<IoPte> {
         let iova = iova.page_align_down();
         let mut node = match &mut self.root {
@@ -99,7 +104,7 @@ impl IoPageTable {
             let Node::Table(slots) = node else {
                 return Err(DmaError::Invariant("leaf at interior level"));
             };
-            node = match &mut slots[idx] {
+            node = match &mut Arc::make_mut(slots)[idx] {
                 Some(n) => n,
                 None => return Err(DmaError::NotMapped(iova.raw())),
             };
@@ -107,6 +112,7 @@ impl IoPageTable {
         let Node::Table(slots) = node else {
             return Err(DmaError::Invariant("leaf at interior level"));
         };
+        let slots = Arc::make_mut(slots);
         match slots[index(iova, 0)].take() {
             Some(Node::Leaf(pte)) => {
                 self.mapped_pages -= 1;

@@ -17,19 +17,34 @@ use std::collections::HashMap;
 
 const CASES: usize = 64;
 
+/// Spreads a page number's bits over all four table levels, so the
+/// pages drawn below share some table nodes and not others.
+fn spread(page: u64) -> Iova {
+    let (l0, l1, l2, l3) = (page & 31, (page >> 5) & 1, (page >> 6) & 1, page >> 7);
+    Iova((l0 | l1 << 9 | l2 << 18 | l3 << 27) * PAGE_SIZE as u64)
+}
+
 #[test]
 fn page_table_matches_reference_model() {
+    // Clones taken at random steps share table nodes copy-on-write; the
+    // original and every clone keep mutating, and each must still match
+    // its own model, so a write leaking through a shared node fails.
     let mut meta = DetRng::new(0x31);
     for case in 0..CASES {
         let mut rng = meta.fork();
-        let mut pt = IoPageTable::new();
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut copies = vec![(IoPageTable::new(), HashMap::<u64, u64>::new())];
         let nops = rng.range(1, 199) as usize;
         for _ in 0..nops {
+            if rng.chance(1, 16) {
+                let k = rng.below(copies.len() as u64) as usize;
+                copies.push(copies[k].clone());
+            }
+            let k = rng.below(copies.len() as u64) as usize;
+            let (pt, model) = &mut copies[k];
             let page = rng.below(256);
-            let pfn = rng.below(64);
+            let pfn = rng.below(16);
             let do_unmap = rng.chance(1, 2);
-            let iova = Iova(page * PAGE_SIZE as u64);
+            let iova = spread(page);
             if do_unmap {
                 let expect = model.remove(&page);
                 let got = pt.unmap(iova).ok().map(|e| e.pfn.raw());
@@ -43,13 +58,27 @@ fn page_table_matches_reference_model() {
             }
             assert_eq!(pt.mapped_pages(), model.len(), "case {case}");
         }
-        // Final walk agreement.
-        for (page, pfn) in model {
-            assert_eq!(
-                pt.walk(Iova(page * PAGE_SIZE as u64)).map(|e| e.pfn.raw()),
-                Some(pfn),
-                "case {case}"
-            );
+        // Final agreement of every copy with its own model.
+        for (k, (pt, model)) in copies.iter().enumerate() {
+            assert_eq!(pt.mapped_pages(), model.len(), "case {case} copy {k}");
+            for page in 0..256 {
+                assert_eq!(
+                    pt.walk(spread(page)).map(|e| e.pfn.raw()),
+                    model.get(&page).copied(),
+                    "case {case} copy {k} page {page}"
+                );
+            }
+            for pfn in 0..16 {
+                let mut got = pt.iovas_of(Pfn(pfn));
+                got.sort();
+                let mut want: Vec<_> = model
+                    .iter()
+                    .filter(|&(_, &p)| p == pfn)
+                    .map(|(&page, _)| (spread(page), AccessRight::Write))
+                    .collect();
+                want.sort();
+                assert_eq!(got, want, "case {case} copy {k} pfn {pfn}");
+            }
         }
     }
 }

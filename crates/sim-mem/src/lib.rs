@@ -5,8 +5,8 @@
 //! allocator keeps its own metadata, and how quickly freed pages are
 //! reused. This crate reproduces those placement policies:
 //!
-//! - [`phys`] — the backing store: a lazily populated array of 4 KiB
-//!   frames addressed by physical address.
+//! - [`phys`] — the backing store: a sparse map of the 4 KiB frames
+//!   touched so far, addressed by physical address.
 //! - [`buddy`] — a buddy page allocator with per-CPU hot-page caches
 //!   (Linux reuses recently freed pages first; §5.2.1 point 2).
 //! - [`slab`] — SLUB-style `kmalloc` size-class caches whose freelist

@@ -51,11 +51,12 @@ pub struct MemorySystem {
     pub kmalloc: KmallocCaches,
     /// page_frag caches.
     pub frag: PageFragAllocator,
-    /// Synthetic kernel text bytes, mapped read/execute-only at
-    /// `layout.text_base`. Shared copy-on-write: the section is 16 MiB
-    /// of mostly-identical bytes and W^X keeps CPU stores out, so
-    /// cloned machines (boot templates, sharded campaigns) alias one
-    /// buffer until someone calls [`MemorySystem::install_text`].
+    /// The installed prefix of the synthetic kernel text, mapped
+    /// read/execute-only at `layout.text_base`; the rest of the
+    /// `layout.text_size` section reads as zeros, so a machine that
+    /// never installs text never allocates it. Shared copy-on-write:
+    /// W^X keeps CPU stores out, so cloned machines alias one buffer
+    /// until someone calls [`MemorySystem::install_text`].
     text: Arc<Vec<u8>>,
     cur_cpu: usize,
 }
@@ -76,22 +77,22 @@ impl MemorySystem {
             buddy: BuddyAllocator::new(Pfn(config.reserved_pages), end, config.num_cpus),
             kmalloc: KmallocCaches::new(),
             frag: PageFragAllocator::new(config.num_cpus),
-            text: Arc::new(vec![0; layout.text_size as usize]),
+            text: Arc::new(Vec::new()),
             layout,
             cur_cpu: 0,
         }
     }
 
-    /// Installs synthetic kernel text bytes (the gadget corpus).
+    /// Installs synthetic kernel text bytes (the gadget corpus) at the
+    /// start of the section, truncated to `layout.text_size`; bytes past
+    /// them keep whatever an earlier install put there.
     pub fn install_text(&mut self, bytes: &[u8]) {
+        let n = bytes.len().min(self.layout.text_size as usize);
         let text = Arc::make_mut(&mut self.text);
-        let n = bytes.len().min(text.len());
+        if text.len() < n {
+            text.resize(n, 0);
+        }
         text[..n].copy_from_slice(&bytes[..n]);
-    }
-
-    /// Read-only view of the kernel text section.
-    pub fn text(&self) -> &[u8] {
-        &self.text
     }
 
     /// Selects the CPU subsequent allocations are attributed to.
@@ -219,7 +220,8 @@ impl MemorySystem {
     /// CPU load of `buf.len()` bytes at `kva`.
     ///
     /// Direct-map reads hit physical memory; text reads hit the synthetic
-    /// text section. Emits a `CpuAccess` event when tracing is on.
+    /// text section, zeros past its installed bytes. Emits a `CpuAccess`
+    /// event when tracing is on.
     pub fn cpu_read(
         &self,
         ctx: &mut SimCtx,
@@ -232,10 +234,13 @@ impl MemorySystem {
             let end = off
                 .checked_add(buf.len())
                 .ok_or(DmaError::NotDirectMap(kva.raw()))?;
-            if end > self.text.len() {
+            if end > self.layout.text_size as usize {
                 return Err(DmaError::NotDirectMap(kva.raw()));
             }
-            buf.copy_from_slice(&self.text[off..end]);
+            let installed = self.text.get(off..).unwrap_or_default();
+            let n = installed.len().min(buf.len());
+            buf[..n].copy_from_slice(&installed[..n]);
+            buf[n..].fill(0);
         } else {
             let pa = self.layout.kva_to_phys(kva)?;
             self.phys.read(pa, buf)?;
@@ -341,6 +346,37 @@ mod tests {
             m.cpu_write(&mut ctx, t, &[0; 1], "t"),
             Err(DmaError::CpuFault("write to read-only kernel text"))
         );
+    }
+
+    #[test]
+    fn text_past_the_installed_bytes_reads_zero() {
+        let (mut ctx, mut m) = mk();
+        let t = m.layout.text_base.raw();
+        let mut b = [0xaau8; 4];
+        m.cpu_read(&mut ctx, Kva(t + 0x1000), &mut b, "t").unwrap();
+        assert_eq!(b, [0; 4], "nothing installed yet");
+        m.install_text(&[0x90, 0x90, 0xc3]);
+        let mut b = [0xaau8; 6];
+        m.cpu_read(&mut ctx, Kva(t + 1), &mut b, "t").unwrap();
+        assert_eq!(b, [0x90, 0xc3, 0, 0, 0, 0], "straddles the installed end");
+        let mut b = [0xaau8; 8];
+        let last = Kva(t + m.layout.text_size - 8);
+        m.cpu_read(&mut ctx, last, &mut b, "t").unwrap();
+        assert_eq!(b, [0; 8]);
+    }
+
+    #[test]
+    fn a_shorter_second_install_keeps_the_first_installs_tail() {
+        let (mut ctx, mut m) = mk();
+        m.install_text(&[1, 2, 3, 4, 5]);
+        let shared = m.clone();
+        m.install_text(&[9, 9]);
+        let t = m.layout.text_base;
+        let mut b = [0u8; 6];
+        m.cpu_read(&mut ctx, t, &mut b, "t").unwrap();
+        assert_eq!(b, [9, 9, 3, 4, 5, 0]);
+        shared.cpu_read(&mut ctx, t, &mut b, "t").unwrap();
+        assert_eq!(b, [1, 2, 3, 4, 5, 0], "the clone kept its own text");
     }
 
     #[test]

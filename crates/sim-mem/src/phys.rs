@@ -1,57 +1,57 @@
 //! The simulated physical memory backing store.
 //!
-//! Frames are materialized lazily (zero-filled) on first touch so large
-//! simulated machines stay cheap; all reads and writes are bounds checked
+//! Frames are materialized lazily (zero-filled) on first touch and kept
+//! in a sparse map, so a machine — and every clone of it — costs only
+//! the frames it has touched; all reads and writes are bounds checked
 //! against the configured physical size.
 
 use dma_core::{DmaError, Pfn, PhysAddr, Result, PAGE_SIZE};
+use std::collections::BTreeMap;
 
-/// A lazily populated array of 4 KiB physical frames.
+/// A lazily populated, sparse set of 4 KiB physical frames.
 #[derive(Clone, Debug)]
 pub struct PhysMemory {
-    frames: Vec<Option<Box<[u8; PAGE_SIZE]>>>,
-    bytes: u64,
+    /// Materialized frames by frame number; absent frames read as zeros.
+    /// Ordered, so anything that ever iterates it stays deterministic.
+    frames: BTreeMap<u64, Box<[u8; PAGE_SIZE]>>,
+    nframes: u64,
 }
 
 impl PhysMemory {
     /// Creates `bytes` of simulated physical memory (rounded down to a
     /// whole number of pages).
     pub fn new(bytes: u64) -> Self {
-        let nframes = (bytes as usize) / PAGE_SIZE;
         PhysMemory {
-            frames: (0..nframes).map(|_| None).collect(),
-            bytes: (nframes * PAGE_SIZE) as u64,
+            frames: BTreeMap::new(),
+            nframes: bytes / PAGE_SIZE as u64,
         }
     }
 
     /// Total size in bytes.
     pub fn size(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Number of frames.
-    pub fn num_frames(&self) -> usize {
-        self.frames.len()
+        self.nframes * PAGE_SIZE as u64
     }
 
     /// Number of frames actually materialized (touched at least once).
     pub fn resident_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.is_some()).count()
+        self.frames.len()
     }
 
     fn frame_mut(&mut self, pfn: Pfn) -> Result<&mut [u8; PAGE_SIZE]> {
-        let idx = pfn.raw() as usize;
-        let slot = self
+        if pfn.raw() >= self.nframes {
+            return Err(DmaError::BadPfn(pfn.raw()));
+        }
+        Ok(self
             .frames
-            .get_mut(idx)
-            .ok_or(DmaError::BadPfn(pfn.raw()))?;
-        Ok(slot.get_or_insert_with(|| Box::new([0u8; PAGE_SIZE])))
+            .entry(pfn.raw())
+            .or_insert_with(|| Box::new([0u8; PAGE_SIZE])))
     }
 
     fn frame(&self, pfn: Pfn) -> Result<Option<&[u8; PAGE_SIZE]>> {
-        let idx = pfn.raw() as usize;
-        let slot = self.frames.get(idx).ok_or(DmaError::BadPfn(pfn.raw()))?;
-        Ok(slot.as_deref())
+        if pfn.raw() >= self.nframes {
+            return Err(DmaError::BadPfn(pfn.raw()));
+        }
+        Ok(self.frames.get(&pfn.raw()).map(|f| &**f))
     }
 
     /// Reads `buf.len()` bytes starting at `pa`; may cross frame
@@ -60,7 +60,7 @@ impl PhysMemory {
         if pa
             .raw()
             .checked_add(buf.len() as u64)
-            .is_none_or(|end| end > self.bytes)
+            .is_none_or(|end| end > self.size())
         {
             return Err(DmaError::BadPhysAddr(pa.raw()));
         }
@@ -85,7 +85,7 @@ impl PhysMemory {
         if pa
             .raw()
             .checked_add(buf.len() as u64)
-            .is_none_or(|end| end > self.bytes)
+            .is_none_or(|end| end > self.size())
         {
             return Err(DmaError::BadPhysAddr(pa.raw()));
         }
@@ -182,5 +182,33 @@ mod tests {
         m.write(PhysAddr(0x2000), &[0xff; 64]).unwrap();
         m.zero(PhysAddr(0x2000), PAGE_SIZE).unwrap();
         assert_eq!(m.read_u64(PhysAddr(0x2000)).unwrap(), 0);
+    }
+
+    #[test]
+    fn zero_of_a_whole_page_past_the_end_is_a_bad_pfn() {
+        let mut m = PhysMemory::new(1 << 20);
+        let end = m.size();
+        assert_eq!(
+            m.zero(PhysAddr(end), PAGE_SIZE),
+            Err(DmaError::BadPfn(end / PAGE_SIZE as u64))
+        );
+        assert_eq!(m.resident_frames(), 0);
+    }
+
+    #[test]
+    fn a_clone_and_its_original_do_not_see_each_others_writes() {
+        let mut original = PhysMemory::new(1 << 20);
+        original.write_u64(PhysAddr(0x3000), 1).unwrap();
+        let mut clone = original.clone();
+        clone.write_u64(PhysAddr(0x3000), 2).unwrap();
+        clone.write_u64(PhysAddr(0x5000), 3).unwrap();
+        original.write_u64(PhysAddr(0x3008), 4).unwrap();
+        assert_eq!(original.read_u64(PhysAddr(0x3000)).unwrap(), 1);
+        assert_eq!(original.read_u64(PhysAddr(0x5000)).unwrap(), 0);
+        assert_eq!(clone.read_u64(PhysAddr(0x3000)).unwrap(), 2);
+        assert_eq!(clone.read_u64(PhysAddr(0x3008)).unwrap(), 0);
+        assert_eq!(clone.read_u64(PhysAddr(0x5000)).unwrap(), 3);
+        assert_eq!(original.resident_frames(), 1);
+        assert_eq!(clone.resident_frames(), 2);
     }
 }
