@@ -18,6 +18,8 @@
 //! - [`rng`] — a small deterministic RNG (`splitmix64` / `xoshiro256**`)
 //!   used wherever determinism is load-bearing (e.g. the RingFlood
 //!   reboot survey).
+//! - [`dethash`] — the fixed-key hasher ([`DetHashMap`], [`DetHashSet`])
+//!   behind the simulator's address-keyed maps.
 //! - [`fault`] — deterministic, seeded fault injection (the simulator's
 //!   `failslab` / `fail_page_alloc` analog): a [`FaultPlan`] of
 //!   site-tagged rules queried via `SimCtx::fault`, driving the
@@ -60,6 +62,7 @@ pub mod checkpoint;
 pub mod chrome;
 pub mod clock;
 pub mod coverage;
+pub mod dethash;
 pub mod error;
 pub mod fault;
 pub mod jsonr;
@@ -78,6 +81,7 @@ pub use addr::{Iova, Kva, Pfn, PhysAddr, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 pub use checkpoint::{CheckpointStore, LoadedCheckpoint, CHECKPOINT_VERSION};
 pub use clock::{Clock, Cycles};
 pub use coverage::{CoverageMap, COVERAGE_BITS};
+pub use dethash::{DetHashMap, DetHashSet};
 pub use error::{DmaError, Result};
 pub use fault::{FaultPlan, FaultRule, FaultTrigger};
 pub use jsonr::{JValue, JsonError};

@@ -13,9 +13,8 @@
 //! by key (never iterated), and all per-key lists are insertion-ordered
 //! vectors, so identical event streams produce identical graphs.
 
-use std::collections::HashMap;
-
 use crate::addr::{PAGE_MASK, PAGE_SIZE};
+use crate::dethash::DetHashMap;
 use crate::trace::{DeviceId, Event};
 
 /// Why a parent event is causally upstream of a child.
@@ -84,25 +83,25 @@ pub struct ProvenanceGraph {
     parents: Vec<Vec<Edge>>,
     edges: usize,
     /// kva → index of the live allocation starting there.
-    live_alloc_at: HashMap<u64, usize>,
+    live_alloc_at: DetHashMap<u64, usize>,
     /// kva → index of the most recent free of that address.
-    last_free_at: HashMap<u64, usize>,
+    last_free_at: DetHashMap<u64, usize>,
     /// kva page → live allocation indexes on that page (insertion order).
-    live_allocs_on_page: HashMap<u64, Vec<usize>>,
+    live_allocs_on_page: DetHashMap<u64, Vec<usize>>,
     /// (device, iova page) → index of the live mapping covering it.
-    live_map_at: HashMap<(DeviceId, u64), usize>,
+    live_map_at: DetHashMap<(DeviceId, u64), usize>,
     /// (device, iova page) → index of the last unmap that covered it.
-    last_unmap_at: HashMap<(DeviceId, u64), usize>,
+    last_unmap_at: DetHashMap<(DeviceId, u64), usize>,
     /// kva page → live mapping indexes exposing that page.
-    live_maps_on_page: HashMap<u64, Vec<usize>>,
+    live_maps_on_page: DetHashMap<u64, Vec<usize>>,
     /// Unmaps whose IOTLB translation has not been invalidated yet.
     pending_unmaps: Vec<usize>,
     /// pfn → index of the live page allocation providing that frame.
-    live_page_at: HashMap<u64, usize>,
+    live_page_at: DetHashMap<u64, usize>,
     /// pfn → index of the most recent page free of that frame.
-    last_page_free_at: HashMap<u64, usize>,
+    last_page_free_at: DetHashMap<u64, usize>,
     /// kva page → every event index that touched that page.
-    touched: HashMap<u64, Vec<usize>>,
+    touched: DetHashMap<u64, Vec<usize>>,
 }
 
 impl ProvenanceGraph {

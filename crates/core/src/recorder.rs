@@ -40,10 +40,11 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// An empty recorder retaining at most `capacity` events. A
     /// capacity of 0 is honored literally: every push is dropped and
-    /// counted, nothing is ever retained.
+    /// counted, nothing is ever retained. It allocates as it records:
+    /// nothing up front, and the ring grows on push up to `capacity`.
     pub fn new(capacity: usize) -> Self {
         FlightRecorder {
-            buf: Vec::with_capacity(capacity.min(4096)),
+            buf: Vec::new(),
             capacity,
             head: 0,
             dropped: 0,
@@ -125,10 +126,13 @@ impl FlightRecorder {
 
     /// Removes and returns the retained events in chronological order,
     /// resetting the drop counter (a drain is a consumption point: what
-    /// was dropped before it can never be recovered downstream).
+    /// was dropped before it can never be recovered downstream). The
+    /// recorder keeps an empty buffer of the capacity it just used, so
+    /// the next burst of the same size does not regrow it.
     pub fn drain(&mut self) -> Vec<Event> {
-        let mut v = core::mem::take(&mut self.buf);
-        v.rotate_left(self.head);
+        let mut v = Vec::with_capacity(self.buf.len());
+        v.extend(self.buf.drain(self.head..));
+        v.append(&mut self.buf);
         self.head = 0;
         self.dropped = 0;
         v
@@ -176,9 +180,33 @@ mod tests {
         );
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 0);
-        // Refilling after a drain behaves like a fresh recorder.
+        assert!(r.buf.capacity() >= 4, "a drain keeps the ring's buffer");
+        // Refilling after a drain behaves like a fresh recorder, wrap
+        // included.
         r.push(ev(99));
         assert_eq!(r.snapshot()[0].at(), 99);
+        for at in 100..105 {
+            r.push(ev(at));
+        }
+        assert_eq!(r.dropped(), 2);
+        let evs = r.drain();
+        assert_eq!(
+            evs.iter().map(|e| e.at()).collect::<Vec<_>>(),
+            vec![101, 102, 103, 104]
+        );
+        assert_eq!(r.dropped(), 0);
+    }
+
+    #[test]
+    fn a_recorder_allocates_only_what_it_records() {
+        let r = FlightRecorder::new(8192);
+        assert_eq!(r.buf.capacity(), 0, "new allocates nothing");
+        assert_eq!(r.clone().buf.capacity(), 0, "nor does a clone");
+        let mut r = r;
+        for at in 0..3 {
+            r.push(ev(at));
+        }
+        assert!(r.buf.capacity() < 8192, "the ring grows as it records");
     }
 
     #[test]

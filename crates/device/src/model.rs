@@ -133,7 +133,9 @@ pub trait DeviceModel: Send {
     fn posture(&self, label: &str) -> PostureReport;
     /// An independent copy (templates in the warm executor clone per
     /// exec). It costs what the machine has touched: resident frames are
-    /// copied, page-table nodes and kernel text are shared copy-on-write.
+    /// copied, page-table nodes and kernel text are shared copy-on-write,
+    /// and a first write under a shared page-table node copies only that
+    /// node's populated slots.
     fn clone_model(&self) -> Box<dyn DeviceModel>;
 }
 

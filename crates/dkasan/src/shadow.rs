@@ -10,8 +10,7 @@ use crate::report::{DKasanFinding, FindingKind};
 use dma_core::metrics::{Histogram, Metrics};
 use dma_core::trace::DeviceId;
 use dma_core::vuln::AccessRight;
-use dma_core::{Event, Kva, PAGE_SIZE};
-use std::collections::HashMap;
+use dma_core::{DetHashMap, DetHashSet, Event, Kva, PAGE_SIZE};
 
 /// Replay-cost counters: what D-KASAN's shadow maintenance costs, in
 /// shadow-entry touches. The replay engine has no `SimCtx`, so these
@@ -68,15 +67,15 @@ struct PageShadow {
 /// ```
 #[derive(Debug, Default)]
 pub struct DKasan {
-    pages: HashMap<u64, PageShadow>,
+    pages: DetHashMap<u64, PageShadow>,
     /// Object index for O(1) free handling: KVA → (page keys, size).
-    objects: HashMap<u64, (Vec<u64>, usize)>,
+    objects: DetHashMap<u64, (Vec<u64>, usize)>,
     /// Mapping index: (device, iova page) → page keys.
-    mappings: HashMap<(DeviceId, u64), Vec<u64>>,
+    mappings: DetHashMap<(DeviceId, u64), Vec<u64>>,
     findings: Vec<DKasanFinding>,
     /// Suppress duplicate (kind, site) reports, like the real tool's
     /// once-per-site reporting.
-    seen: std::collections::HashSet<(FindingKind, &'static str)>,
+    seen: DetHashSet<(FindingKind, &'static str)>,
     /// Report every occurrence instead of once per (kind, site).
     pub report_all: bool,
     /// Injected-fault census: site tag → count. Fault-injection runs

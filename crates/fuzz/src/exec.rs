@@ -351,7 +351,8 @@ pub fn taxonomy_of(kind: FindingKind, colocates_random: bool) -> SubPageVulnerab
 /// Events are drained after every op, so the recorder only needs to
 /// absorb one op's burst (plus boot); evictions — counted in
 /// `trace.dropped` and surfaced on the outcome — mean an op out-emitted
-/// the ring and the oracle saw a truncated stream.
+/// the ring and the oracle saw a truncated stream. The ring allocates
+/// as it records, so a template that never records holds none of it.
 pub const EXEC_RECORDER_CAPACITY: usize = 8192;
 
 /// The one executor: booted machine templates plus a reused input-byte
@@ -363,9 +364,10 @@ pub const EXEC_RECORDER_CAPACITY: usize = 8192;
 /// the [`NUM_CONFIGS`] matrix rows once, on first use, and clones the
 /// template per exec. A clone copies only the physical frames the
 /// template has touched; its IOMMU page-table nodes and kernel text stay
-/// shared copy-on-write until the clone writes them. It carries the
-/// exact post-boot state a fresh boot produces (allocator layout,
-/// recorder contents, metrics), so an exec on a long-lived context is
+/// shared copy-on-write until the clone writes them, and a first write
+/// under a shared page-table node copies only its populated slots. It
+/// carries the exact post-boot state a fresh boot produces (allocator
+/// layout, recorder contents, metrics), so an exec on a long-lived context is
 /// outcome-identical to one on a fresh context; tests/scale.rs and the
 /// `devsim` clone tests pin this. The input-byte staging buffer is
 /// reused across execs instead of re-allocated per exec.

@@ -17,9 +17,8 @@ use dma_core::clock::{
 use dma_core::metrics::Histogram;
 use dma_core::posture::{GroupPosture, PostureReport, StaleWindowStats};
 use dma_core::trace::DeviceId;
-use dma_core::{AccessRight, DmaError, Event, Iova, Pfn, Result, SimCtx, PAGE_SIZE};
+use dma_core::{AccessRight, DetHashMap, DmaError, Event, Iova, Pfn, Result, SimCtx, PAGE_SIZE};
 use sim_mem::PhysMemory;
-use std::collections::HashMap;
 
 /// IOTLB invalidation policy (§5.2.1, Figure 6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,8 +105,8 @@ pub struct Iommu {
     /// Device → translation domain. Several devices may share one
     /// domain (as the paper's §6 rig shares an IOVA page table between
     /// the FireWire controller and the NIC).
-    device_domain: HashMap<DeviceId, u32>,
-    domains: HashMap<u32, Domain>,
+    device_domain: DetHashMap<DeviceId, u32>,
+    domains: DetHashMap<u32, Domain>,
     next_domain: u32,
     iotlb: Iotlb,
     next_flush: Cycles,
@@ -123,19 +122,14 @@ impl Iommu {
     pub fn new(config: IommuConfig) -> Self {
         Iommu {
             iotlb: Iotlb::new(config.iotlb_capacity),
-            device_domain: HashMap::new(),
-            domains: HashMap::new(),
+            device_domain: DetHashMap::default(),
+            domains: DetHashMap::default(),
             next_domain: 0,
             next_flush: config.flush_period,
             stats: IommuStats::default(),
             fault_log: std::collections::VecDeque::new(),
             config,
         }
-    }
-
-    /// Read-only view of the recorded faults (most recent last).
-    pub fn fault_log(&self) -> impl Iterator<Item = &FaultRecord> {
-        self.fault_log.iter()
     }
 
     /// Drains the fault log (what the OS fault handler does).
@@ -233,26 +227,29 @@ impl Iommu {
         let mode = self.config.mode;
         let base = iova.page_align_down();
         ctx.metrics.add("sim_iommu.unmap.pages", pages as u64);
+        // Invalidation is per *domain*: every device sharing the page
+        // table must lose (or keep-stale) its cached entry.
+        let id = self.domain_id(dev)?;
+        let peers: Vec<DeviceId> = self
+            .device_domain
+            .iter()
+            .filter(|(_, did)| **did == id)
+            .map(|(d, _)| *d)
+            .collect();
+        let d = self
+            .domains
+            .get_mut(&id)
+            .ok_or(DmaError::Invariant("device not attached to IOMMU"))?;
         for i in 0..pages {
             let page_iova = Iova(base.raw() + (i * PAGE_SIZE) as u64);
-            let d = self.domain_mut(dev)?;
             d.pt.unmap(page_iova)?;
-            // Invalidation is per *domain*: every device sharing the
-            // page table must lose (or keep-stale) its cached entry.
-            let id = self.domain_id(dev)?;
-            let peers: Vec<DeviceId> = self
-                .device_domain
-                .iter()
-                .filter(|(_, did)| **did == id)
-                .map(|(d, _)| *d)
-                .collect();
             match mode {
                 InvalidationMode::Strict => {
                     // The synchronous per-page invalidation is the
                     // strict-mode cost center ROADMAP item 4 targets;
                     // give it its own profile frame inside iommu.unmap.
                     let frame = ctx.prof_begin("iommu.iotlb.inv");
-                    for peer in peers {
+                    for &peer in &peers {
                         self.iotlb.invalidate(peer, page_iova);
                     }
                     self.stats.invalidations += 1;
@@ -267,13 +264,12 @@ impl Iommu {
                     });
                 }
                 InvalidationMode::Deferred => {
-                    for peer in peers {
+                    for &peer in &peers {
                         self.iotlb.mark_stale(peer, page_iova);
                     }
                 }
             }
         }
-        let d = self.domain_mut(dev)?;
         // Ranges mapped via map_page() directly (rather than through the
         // DMA API) were never IOVA-allocated; skip releasing those.
         if d.iova.is_live(base) {
@@ -515,31 +511,6 @@ impl Iommu {
             stale: any_stale,
         });
         Ok(())
-    }
-
-    /// Device read of a little-endian u64.
-    pub fn dev_read_u64(
-        &mut self,
-        ctx: &mut SimCtx,
-        phys: &PhysMemory,
-        dev: DeviceId,
-        iova: Iova,
-    ) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.dev_read(ctx, phys, dev, iova, &mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Device write of a little-endian u64.
-    pub fn dev_write_u64(
-        &mut self,
-        ctx: &mut SimCtx,
-        phys: &mut PhysMemory,
-        dev: DeviceId,
-        iova: Iova,
-        v: u64,
-    ) -> Result<()> {
-        self.dev_write(ctx, phys, dev, iova, &v.to_le_bytes())
     }
 
     /// All live IOVAs translating to `pfn` in `dev`'s domain (diagnostic;

@@ -6,8 +6,8 @@
 //! exactly like live ones — until the periodic global flush.
 
 use dma_core::trace::DeviceId;
-use dma_core::{AccessRight, Iova, Pfn};
-use std::collections::{HashMap, VecDeque};
+use dma_core::{AccessRight, DetHashMap, Iova, Pfn};
+use std::collections::VecDeque;
 
 /// A cached translation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,7 +24,7 @@ pub struct IotlbEntry {
 /// The translation cache, shared by all domains (tagged by device).
 #[derive(Clone, Debug)]
 pub struct Iotlb {
-    entries: HashMap<(DeviceId, u64), IotlbEntry>,
+    entries: DetHashMap<(DeviceId, u64), IotlbEntry>,
     /// The keys of `entries`, oldest insertion first (capacity eviction
     /// is FIFO).
     order: VecDeque<(DeviceId, u64)>,
@@ -35,7 +35,7 @@ impl Iotlb {
     /// Creates a cache holding up to `capacity` translations.
     pub fn new(capacity: usize) -> Self {
         Iotlb {
-            entries: HashMap::new(),
+            entries: DetHashMap::default(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
         }

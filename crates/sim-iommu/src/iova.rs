@@ -9,8 +9,7 @@
 
 #[cfg(test)]
 use dma_core::PAGE_SIZE;
-use dma_core::{DmaError, Iova, Result, PAGE_SHIFT};
-use std::collections::HashMap;
+use dma_core::{DetHashMap, DmaError, Iova, Result, PAGE_SHIFT};
 
 /// Top of the default 32-bit IOVA window Linux prefers for legacy reasons.
 pub const DEFAULT_IOVA_TOP: u64 = 1 << 32;
@@ -24,9 +23,9 @@ pub struct IovaAllocator {
     cursor: u64,
     bottom: u64,
     /// Freed ranges by page count, reused LIFO.
-    free: HashMap<usize, Vec<u64>>,
+    free: DetHashMap<usize, Vec<u64>>,
     /// Ranges currently held: base → page count.
-    live: HashMap<u64, usize>,
+    live: DetHashMap<u64, usize>,
 }
 
 impl Default for IovaAllocator {
@@ -41,8 +40,8 @@ impl IovaAllocator {
         IovaAllocator {
             cursor: DEFAULT_IOVA_TOP,
             bottom: DEFAULT_IOVA_BOTTOM,
-            free: HashMap::new(),
-            live: HashMap::new(),
+            free: DetHashMap::default(),
+            live: DetHashMap::default(),
         }
     }
 

@@ -2,13 +2,17 @@
 //! translation: 9 bits per level, 4 KiB leaves, per-leaf access rights.
 //!
 //! Table nodes are shared copy-on-write: a cloned table aliases every
-//! node of the original until one side maps or unmaps beneath it.
+//! node of the original until one side maps or unmaps beneath it. A
+//! node holds only its populated slots, sorted by slot index, so the
+//! first write under a shared node copies those slots (one or two above
+//! the leaf level), not all 512.
 
 use dma_core::{AccessRight, DmaError, Iova, Pfn, Result, PAGE_SHIFT};
 use std::sync::Arc;
 
 const LEVEL_BITS: u32 = 9;
-const FANOUT: usize = 1 << LEVEL_BITS;
+/// Slots per table node.
+const FANOUT: u64 = 1 << LEVEL_BITS;
 /// Number of translation levels (48-bit IOVA space).
 pub const LEVELS: u32 = 4;
 
@@ -23,13 +27,14 @@ pub struct IoPte {
 
 #[derive(Clone)]
 enum Node {
-    Table(Arc<[Option<Node>; FANOUT]>),
+    /// The populated slots, sorted by slot index.
+    Table(Arc<Vec<(u16, Node)>>),
     Leaf(IoPte),
 }
 
 impl Node {
     fn new_table() -> Node {
-        Node::Table(Arc::new(std::array::from_fn(|_| None)))
+        Node::Table(Arc::default())
     }
 }
 
@@ -49,8 +54,14 @@ pub struct IoPageTable {
     mapped_pages: usize,
 }
 
-fn index(iova: Iova, level: u32) -> usize {
-    ((iova.raw() >> (PAGE_SHIFT + LEVEL_BITS * level)) & (FANOUT as u64 - 1)) as usize
+fn index(iova: Iova, level: u32) -> u16 {
+    ((iova.raw() >> (PAGE_SHIFT + LEVEL_BITS * level)) & (FANOUT - 1)) as u16
+}
+
+/// Position of slot `idx` in a node's sorted slots: `Ok` if populated,
+/// `Err` with the insertion point if not.
+fn find(slots: &[(u16, Node)], idx: u16) -> std::result::Result<usize, usize> {
+    slots.binary_search_by_key(&idx, |&(i, _)| i)
 }
 
 impl IoPageTable {
@@ -77,76 +88,69 @@ impl IoPageTable {
             let Node::Table(slots) = node else {
                 return Err(DmaError::Invariant("leaf at interior level"));
             };
-            node = Arc::make_mut(slots)[idx].get_or_insert_with(Node::new_table);
+            let slots = Arc::make_mut(slots);
+            let pos = find(slots, idx).unwrap_or_else(|pos| {
+                slots.insert(pos, (idx, Node::new_table()));
+                pos
+            });
+            node = &mut slots[pos].1;
         }
         let Node::Table(slots) = node else {
             return Err(DmaError::Invariant("leaf at interior level"));
         };
-        let slot = &mut Arc::make_mut(slots)[index(iova, 0)];
-        if slot.is_some() {
+        let idx = index(iova, 0);
+        let Err(pos) = find(slots, idx) else {
             return Err(DmaError::AlreadyMapped(iova.raw()));
-        }
-        *slot = Some(Node::Leaf(IoPte { pfn, right }));
+        };
+        Arc::make_mut(slots).insert(pos, (idx, Node::Leaf(IoPte { pfn, right })));
         self.mapped_pages += 1;
         Ok(())
     }
 
     /// Removes the translation for the page containing `iova`, returning
-    /// the old entry; unshares each node on the way down.
+    /// the old entry; unshares each node on the way down. Interior
+    /// tables stay in place even when they empty.
     pub fn unmap(&mut self, iova: Iova) -> Result<IoPte> {
         let iova = iova.page_align_down();
-        let mut node = match &mut self.root {
-            Some(n) => n,
-            None => return Err(DmaError::NotMapped(iova.raw())),
-        };
+        let not_mapped = || DmaError::NotMapped(iova.raw());
+        let mut node = self.root.as_mut().ok_or_else(not_mapped)?;
         for level in (1..LEVELS).rev() {
-            let idx = index(iova, level);
             let Node::Table(slots) = node else {
                 return Err(DmaError::Invariant("leaf at interior level"));
             };
-            node = match &mut Arc::make_mut(slots)[idx] {
-                Some(n) => n,
-                None => return Err(DmaError::NotMapped(iova.raw())),
-            };
+            let pos = find(slots, index(iova, level)).map_err(|_| not_mapped())?;
+            node = &mut Arc::make_mut(slots)[pos].1;
         }
         let Node::Table(slots) = node else {
             return Err(DmaError::Invariant("leaf at interior level"));
         };
-        let slots = Arc::make_mut(slots);
-        match slots[index(iova, 0)].take() {
-            Some(Node::Leaf(pte)) => {
-                self.mapped_pages -= 1;
-                Ok(pte)
-            }
-            Some(other) => {
-                slots[index(iova, 0)] = Some(other);
-                Err(DmaError::Invariant("table at leaf level"))
-            }
-            None => Err(DmaError::NotMapped(iova.raw())),
-        }
+        let pos = find(slots, index(iova, 0)).map_err(|_| not_mapped())?;
+        let Node::Leaf(pte) = slots[pos].1 else {
+            return Err(DmaError::Invariant("table at leaf level"));
+        };
+        Arc::make_mut(slots).remove(pos);
+        self.mapped_pages -= 1;
+        Ok(pte)
     }
 
     /// Walks the table for the page containing `iova`.
     pub fn walk(&self, iova: Iova) -> Option<IoPte> {
         let iova = iova.page_align_down();
         let mut node = self.root.as_ref()?;
-        for level in (1..LEVELS).rev() {
+        for level in (0..LEVELS).rev() {
             let Node::Table(slots) = node else {
                 return None;
             };
-            node = slots[index(iova, level)].as_ref()?;
+            node = &slots[find(slots, index(iova, level)).ok()?].1;
         }
-        let Node::Table(slots) = node else {
-            return None;
-        };
-        match slots[index(iova, 0)].as_ref()? {
+        match node {
             Node::Leaf(pte) => Some(*pte),
             Node::Table(_) => None,
         }
     }
 
     /// Returns every live translation targeting `pfn` (used by tests and
-    /// D-KASAN's multiple-map detection).
+    /// D-KASAN's multiple-map detection), in IOVA order.
     pub fn iovas_of(&self, pfn: Pfn) -> Vec<(Iova, AccessRight)> {
         let mut out = Vec::new();
         if let Some(root) = &self.root {
@@ -163,16 +167,10 @@ impl IoPageTable {
                 }
             }
             Node::Table(slots) => {
-                for (i, slot) in slots.iter().enumerate() {
-                    if let Some(child) = slot {
-                        let child_prefix =
-                            prefix | ((i as u64) << (PAGE_SHIFT + LEVEL_BITS * level));
-                        if level == 0 {
-                            Self::collect(child, child_prefix, 0, pfn, out);
-                        } else {
-                            Self::collect(child, child_prefix, level - 1, pfn, out);
-                        }
-                    }
+                for (i, child) in slots.iter() {
+                    let child_prefix =
+                        prefix | (u64::from(*i) << (PAGE_SHIFT + LEVEL_BITS * level));
+                    Self::collect(child, child_prefix, level.saturating_sub(1), pfn, out);
                 }
             }
         }

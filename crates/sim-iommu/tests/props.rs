@@ -7,13 +7,13 @@
 //! property-testing framework) so the suite builds offline.
 
 use dma_core::vuln::DmaDirection;
-use dma_core::{AccessRight, DetRng, Iova, Pfn, SimCtx, PAGE_SIZE};
+use dma_core::{AccessRight, DetRng, DmaError, Iova, Pfn, SimCtx, PAGE_SIZE};
 use sim_iommu::{
     dma_map_single, dma_unmap_single, InvalidationMode, IoPageTable, Iommu, IommuConfig,
     IovaAllocator,
 };
 use sim_mem::{MemConfig, MemorySystem};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const CASES: usize = 64;
 
@@ -79,6 +79,131 @@ fn page_table_matches_reference_model() {
                 want.sort();
                 assert_eq!(got, want, "case {case} copy {k} pfn {pfn}");
             }
+        }
+    }
+}
+
+/// Checks one table against its model: the mapped count, a walk of
+/// every page in `iovas`, and the aliases of `pfn` (in IOVA order).
+fn check_table(pt: &IoPageTable, model: &BTreeMap<u64, u64>, iovas: &[Iova], pfn: u64, at: &str) {
+    assert_eq!(pt.mapped_pages(), model.len(), "{at}");
+    for &iova in iovas {
+        assert_eq!(
+            pt.walk(iova).map(|e| e.pfn.raw()),
+            model.get(&iova.raw()).copied(),
+            "{at}: walk {:#x}",
+            iova.raw()
+        );
+    }
+    let want: Vec<_> = model
+        .iter()
+        .filter(|&(_, &p)| p == pfn)
+        .map(|(&v, _)| (Iova(v), AccessRight::Write))
+        .collect();
+    assert_eq!(pt.iovas_of(Pfn(pfn)), want, "{at}: iovas_of {pfn}");
+}
+
+/// Checks the copy just mutated in full, and every other copy at the
+/// page that changed, so a write leaking through a shared node shows.
+fn check_copies(
+    copies: &[(IoPageTable, BTreeMap<u64, u64>)],
+    k: usize,
+    iovas: &[Iova],
+    iova: Iova,
+    pfn: u64,
+    at: &str,
+) {
+    for (j, (pt, model)) in copies.iter().enumerate() {
+        if j == k {
+            check_table(pt, model, iovas, pfn, &format!("{at} copy {j}"));
+        } else {
+            assert_eq!(pt.mapped_pages(), model.len(), "{at} copy {j}");
+            assert_eq!(
+                pt.walk(iova).map(|e| e.pfn.raw()),
+                model.get(&iova.raw()).copied(),
+                "{at} copy {j}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_full_leaf_table_matches_reference_model() {
+    // `spread` reaches only slots 0-31 of a leaf table. Here the IOVA
+    // allocator's first 512 pages fill every slot of its top leaf table,
+    // top-down, so each map inserts in front of the slots already
+    // present; the 513th page opens the next table, so the node above
+    // holds two slots. One page is held back and mapped last, leaving a
+    // never-mapped slot between mapped ones until then.
+    let mut alloc = IovaAllocator::new();
+    let iovas: Vec<Iova> = (0..513).map(|_| alloc.alloc(1).unwrap()).collect();
+    let leaf_span = 512 * PAGE_SIZE as u64;
+    assert_eq!(iovas[511].raw() % leaf_span, 0, "512 pages fill one leaf");
+    assert_eq!(
+        iovas[0].raw() - iovas[511].raw(),
+        leaf_span - PAGE_SIZE as u64
+    );
+    let mut meta = DetRng::new(0x37);
+    for case in 0..3 {
+        let mut rng = meta.fork();
+        let hole = iovas[rng.range(1, 510) as usize];
+        let mut copies = vec![(IoPageTable::new(), BTreeMap::<u64, u64>::new())];
+        let order = iovas.iter().copied().filter(|&v| v != hole).chain([hole]);
+        for (n, iova) in order.enumerate() {
+            if rng.chance(1, 64) {
+                let k = rng.below(copies.len() as u64) as usize;
+                copies.push(copies[k].clone());
+            }
+            let at = format!("case {case} map {n}");
+            let (pt, model) = &mut copies[0];
+            if iova == hole {
+                let before = pt.mapped_pages();
+                assert_eq!(pt.unmap(hole), Err(DmaError::NotMapped(hole.raw())), "{at}");
+                assert_eq!(pt.mapped_pages(), before, "{at}");
+            }
+            let pfn = rng.below(8);
+            pt.map(iova, Pfn(pfn), AccessRight::Write).unwrap();
+            model.insert(iova.raw(), pfn);
+            check_copies(&copies, 0, &iovas, iova, pfn, &at);
+        }
+        assert_eq!(copies[0].0.mapped_pages(), 513);
+
+        // Empty every copy, interleaved, each in its own random order.
+        let mut left: Vec<Vec<u64>> = copies
+            .iter()
+            .map(|(_, m)| m.keys().copied().collect())
+            .collect();
+        for n in 0.. {
+            let live: Vec<usize> = (0..copies.len()).filter(|&k| !left[k].is_empty()).collect();
+            if live.is_empty() {
+                break;
+            }
+            let k = live[rng.below(live.len() as u64) as usize];
+            let i = rng.below(left[k].len() as u64) as usize;
+            let v = left[k].swap_remove(i);
+            let (pt, model) = &mut copies[k];
+            let pfn = model.remove(&v).unwrap();
+            assert_eq!(pt.unmap(Iova(v)).map(|e| e.pfn.raw()), Ok(pfn));
+            check_copies(
+                &copies,
+                k,
+                &iovas,
+                Iova(v),
+                pfn,
+                &format!("case {case} unmap {n}"),
+            );
+        }
+        for (k, (pt, model)) in copies.iter_mut().enumerate() {
+            for pfn in 0..8 {
+                check_table(
+                    pt,
+                    model,
+                    &iovas,
+                    pfn,
+                    &format!("case {case} copy {k} empty"),
+                );
+            }
+            assert_eq!(pt.unmap(hole), Err(DmaError::NotMapped(hole.raw())));
         }
     }
 }

@@ -10,8 +10,7 @@
 //!   is what makes the boot process deterministic enough for the
 //!   RingFlood PFN survey (§5.3).
 
-use dma_core::{DmaError, Event, Pfn, Result, SimCtx};
-use std::collections::HashMap;
+use dma_core::{DetHashMap, DmaError, Event, Pfn, Result, SimCtx};
 
 /// Maximum buddy order (2^10 pages = 4 MiB blocks), as in Linux.
 pub const MAX_ORDER: u32 = 10;
@@ -24,7 +23,7 @@ pub struct BuddyAllocator {
     /// Free blocks per order, used as LIFO stacks (hot reuse).
     free_lists: Vec<Vec<Pfn>>,
     /// Every free block's order, for O(1) buddy lookup during coalescing.
-    free_blocks: HashMap<u64, u32>,
+    free_blocks: DetHashMap<u64, u32>,
     /// Per-CPU caches of hot order-0 pages.
     pcp: Vec<Vec<Pfn>>,
     first_pfn: Pfn,
@@ -39,7 +38,7 @@ impl BuddyAllocator {
         assert!(first.raw() < end.raw(), "empty buddy range");
         let mut b = BuddyAllocator {
             free_lists: (0..=MAX_ORDER).map(|_| Vec::new()).collect(),
-            free_blocks: HashMap::new(),
+            free_blocks: DetHashMap::default(),
             pcp: (0..num_cpus.max(1)).map(|_| Vec::new()).collect(),
             first_pfn: first,
             end_pfn: end,

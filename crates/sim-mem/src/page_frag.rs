@@ -11,8 +11,7 @@
 //! Figure 7.
 
 use crate::buddy::BuddyAllocator;
-use dma_core::{DmaError, Event, KernelLayout, Kva, Pfn, Result, SimCtx};
-use std::collections::HashMap;
+use dma_core::{DetHashMap, DmaError, Event, KernelLayout, Kva, Pfn, Result, SimCtx};
 
 /// Buddy order of each page_frag region: 2^3 pages = 32 KiB, matching
 /// Linux's `PAGE_FRAG_CACHE_MAX_ORDER`.
@@ -41,7 +40,7 @@ struct Region {
 #[derive(Clone, Debug)]
 pub struct PageFragAllocator {
     per_cpu: Vec<FragCache>,
-    regions: HashMap<u64, Region>,
+    regions: DetHashMap<u64, Region>,
 }
 
 impl PageFragAllocator {
@@ -55,7 +54,7 @@ impl PageFragAllocator {
                 };
                 num_cpus.max(1)
             ],
-            regions: HashMap::new(),
+            regions: DetHashMap::default(),
         }
     }
 

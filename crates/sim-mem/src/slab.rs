@@ -13,8 +13,7 @@
 
 use crate::buddy::BuddyAllocator;
 use crate::phys::PhysMemory;
-use dma_core::{DmaError, Event, KernelLayout, Kva, Pfn, Result, SimCtx, PAGE_SIZE};
-use std::collections::HashMap;
+use dma_core::{DetHashMap, DmaError, Event, KernelLayout, Kva, Pfn, Result, SimCtx, PAGE_SIZE};
 
 /// The kmalloc size classes, as in Linux (plus the 96/192 odd sizes).
 pub const SIZE_CLASSES: [usize; 13] = [
@@ -41,7 +40,7 @@ struct Cache {
     /// Slabs with at least one free object (LIFO for cache locality).
     partial: Vec<Pfn>,
     /// All live slabs, keyed by base PFN.
-    slabs: HashMap<u64, Slab>,
+    slabs: DetHashMap<u64, Slab>,
 }
 
 impl Cache {
@@ -53,7 +52,7 @@ impl Cache {
             order,
             objects_per_slab: (slab_bytes / object_size) as u32,
             partial: Vec::new(),
-            slabs: HashMap::new(),
+            slabs: DetHashMap::default(),
         }
     }
 
@@ -91,11 +90,11 @@ struct LiveObject {
 pub struct KmallocCaches {
     caches: Vec<Cache>,
     /// Every page of every slab → (cache index, slab base PFN).
-    page_owner: HashMap<u64, (usize, u64)>,
+    page_owner: DetHashMap<u64, (usize, u64)>,
     /// Live objects by KVA.
-    live: HashMap<u64, LiveObject>,
+    live: DetHashMap<u64, LiveObject>,
     /// kmalloc_large allocations: KVA → buddy order.
-    large: HashMap<u64, u32>,
+    large: DetHashMap<u64, u32>,
 }
 
 impl Default for KmallocCaches {
@@ -109,9 +108,9 @@ impl KmallocCaches {
     pub fn new() -> Self {
         KmallocCaches {
             caches: SIZE_CLASSES.iter().map(|&s| Cache::new(s)).collect(),
-            page_owner: HashMap::new(),
-            live: HashMap::new(),
-            large: HashMap::new(),
+            page_owner: DetHashMap::default(),
+            live: DetHashMap::default(),
+            large: DetHashMap::default(),
         }
     }
 
