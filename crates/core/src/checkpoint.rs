@@ -21,6 +21,12 @@
 //! invalidates the generation. The payload itself is opaque to this
 //! layer — the `fuzz` crate's campaign engine defines its schema.
 //!
+//! Saving picks its slot from each slot's header and checksum alone
+//! ([`CheckpointStore::save`]), and writes the envelope around the
+//! caller's payload without copying it. Only loading parses a payload
+//! ([`validate_envelope`]), so a slot whose checksum matches but whose
+//! payload is not JSON still falls back on load.
+//!
 //! # Fault injection
 //!
 //! Checkpoint I/O participates in the seeded fault-injection machinery
@@ -51,6 +57,7 @@ use crate::trace::Event;
 use crate::vuln::DmaDirection;
 use std::collections::BTreeSet;
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -106,13 +113,6 @@ pub struct LoadedCheckpoint {
     pub sequence: u64,
     /// The parsed snapshot payload.
     pub payload: JValue,
-}
-
-#[derive(Debug)]
-enum SlotState {
-    Missing,
-    Corrupt,
-    Valid(LoadedCheckpoint),
 }
 
 /// A two-generation A/B checkpoint store rooted at a directory.
@@ -205,30 +205,21 @@ impl CheckpointStore {
         Err(DmaError::Invariant(err))
     }
 
-    /// Quietly (no fault injection) classifies both slots.
-    fn scan_slots(&self) -> [SlotState; 2] {
-        [0, 1].map(|slot| match fs::read_to_string(self.slot_path(slot)) {
-            Err(_) => SlotState::Missing,
-            Ok(body) => match validate_envelope(&body) {
-                Some(loaded) => SlotState::Valid(loaded),
-                None => SlotState::Corrupt,
-            },
-        })
-    }
-
     /// Writes `payload` (a complete JSON document) as the next
     /// generation, returning the sequence number it was stamped with.
     ///
     /// The write goes to the slot **not** holding the newest valid
     /// generation, so the previous generation survives a torn write.
+    /// Both slots are read from disk on every save (a slot corrupted
+    /// during a run cannot cost the last good generation), but only
+    /// their headers and checksums are checked; payloads are parsed by
+    /// [`CheckpointStore::load`] alone.
     pub fn save(&mut self, payload: &str) -> Result<u64> {
-        let slots = self.scan_slots();
-        let newest = slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                SlotState::Valid(l) => Some((i, l.sequence)),
-                _ => None,
+        // Quietly (no fault injection): this read only picks the slot.
+        let newest = (0..2)
+            .filter_map(|slot| {
+                let body = fs::read_to_string(self.slot_path(slot)).ok()?;
+                check_envelope(&body).map(|(sequence, _)| (slot, sequence))
             })
             .max_by_key(|&(_, seq)| seq);
         let (slot, sequence) = match newest {
@@ -236,16 +227,20 @@ impl CheckpointStore {
             None => (0, 1),
         };
         let checksum = fnv64(payload.as_bytes());
-        let doc = format!(
+        let header = format!(
             "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\"version\":{CHECKPOINT_VERSION},\
-             \"sequence\":{sequence},\"checksum\":\"{checksum:016x}\"\
-             ,\"payload\":{payload}}}"
+             \"sequence\":{sequence},\"checksum\":\"{checksum:016x}\"{PAYLOAD_MARKER}"
         );
         let path = self.slot_path(slot);
         self.retry_io(
             "checkpoint.write",
             "checkpoint write failed after retries",
-            |p| fs::write(p, doc.as_bytes()),
+            |p| {
+                let mut f = fs::File::create(p)?;
+                f.write_all(header.as_bytes())?;
+                f.write_all(payload.as_bytes())?;
+                f.write_all(b"}")
+            },
             &path,
         )?;
         self.metrics.incr("checkpoint.writes");
@@ -339,6 +334,15 @@ pub fn shard_generations(base: &Path) -> Vec<(u32, u64)> {
 /// exact payload byte range, and well-formed JSON. Returns `None` on
 /// any mismatch (the caller treats the generation as corrupt).
 pub fn validate_envelope(body: &str) -> Option<LoadedCheckpoint> {
+    let (sequence, payload_src) = check_envelope(body)?;
+    let payload = parse(payload_src).ok()?;
+    Some(LoadedCheckpoint { sequence, payload })
+}
+
+/// The header half of [`validate_envelope`]: magic, version, sequence
+/// and the checksum over the exact payload byte range, without parsing
+/// the payload. Returns the sequence and the payload's source text.
+fn check_envelope(body: &str) -> Option<(u64, &str)> {
     let marker = body.find(PAYLOAD_MARKER)?;
     let payload_start = marker + PAYLOAD_MARKER.len();
     if !body.ends_with('}') || payload_start >= body.len() {
@@ -358,8 +362,7 @@ pub fn validate_envelope(body: &str) -> Option<LoadedCheckpoint> {
     if fnv64(payload_src.as_bytes()) != want {
         return None;
     }
-    let payload = parse(payload_src).ok()?;
-    Some(LoadedCheckpoint { sequence, payload })
+    Some((sequence, payload_src))
 }
 
 // ----------------------------------------------------------------------
@@ -836,6 +839,28 @@ mod tests {
         .unwrap();
         let loaded = store.load().unwrap().unwrap();
         assert_eq!(loaded.sequence, 1);
+        assert_eq!(store.recovered(), 1);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checksummed_non_json_payload_falls_back_on_load() {
+        let (dir, mut store) = store_with_two_generations("notjson");
+        // The checksum matches the bytes, so only parsing rejects them.
+        let payload = "{\"n\":";
+        let checksum = fnv64(payload.as_bytes());
+        fs::write(
+            newest_slot(&dir),
+            format!(
+                "{{\"magic\":\"{CHECKPOINT_MAGIC}\",\"version\":{CHECKPOINT_VERSION},\
+                 \"sequence\":2,\"checksum\":\"{checksum:016x}\"\
+                 ,\"payload\":{payload}}}"
+            ),
+        )
+        .unwrap();
+        let loaded = store.load().unwrap().unwrap();
+        assert_eq!(loaded.sequence, 1, "fell back to the A generation");
+        assert_eq!(loaded.payload.u64_field("n"), Some(1));
         assert_eq!(store.recovered(), 1);
         fs::remove_dir_all(&dir).ok();
     }

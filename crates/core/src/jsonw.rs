@@ -6,6 +6,11 @@
 //! the exporters need is implemented: objects, arrays, strings, u64/i64,
 //! f64 (fixed 3-decimal rendering so formatting never varies), bools.
 //!
+//! Keys and string values are escaped straight into the output buffer
+//! ([`escape_into`]); text with nothing to escape, which is nearly every
+//! metric name and frame key, is copied whole, so rendering a document
+//! allocates nothing per field beyond the buffer's own growth.
+//!
 //! ```
 //! use dma_core::jsonw::JsonWriter;
 //! let mut w = JsonWriter::new();
@@ -25,6 +30,18 @@ use std::fmt::Write as _;
 /// Escapes `s` for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s`, escaped for inclusion inside a JSON string literal, to
+/// `out`. Text without a `"`, a `\` or a control byte is pushed whole;
+/// only text that has one is rewritten char by char.
+pub fn escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -38,7 +55,6 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Streaming JSON builder; see the module docs for the example.
@@ -90,7 +106,7 @@ impl JsonWriter {
     pub fn field(&mut self, key: &str, f: impl FnOnce(&mut Self)) {
         self.pre_value();
         self.buf.push('"');
-        self.buf.push_str(&escape(key));
+        escape_into(&mut self.buf, key);
         self.buf.push_str("\":");
         // The value itself must not re-trigger comma logic at this level.
         self.need_comma.push(false);
@@ -109,7 +125,7 @@ impl JsonWriter {
     /// Bare string value.
     pub fn str(&mut self, v: &str) {
         self.buf.push('"');
-        self.buf.push_str(&escape(v));
+        escape_into(&mut self.buf, v);
         self.buf.push('"');
     }
 
@@ -174,6 +190,63 @@ mod tests {
     fn escape_handles_specials() {
         assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    /// The per-char escaping rules, kept here as the reference that
+    /// `escape_into`'s whole-copy case must agree with.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn keys_and_values_escape_like_the_reference_and_parse_back() {
+        let plain: Vec<char> = (0x20u8..0x7f)
+            .map(char::from)
+            .filter(|c| !matches!(c, '"' | '\\'))
+            .chain(['/', 'é', '€', '😀', '\u{2028}'])
+            .collect();
+        let mut full: Vec<char> = (0u32..0x20).filter_map(char::from_u32).collect();
+        full.extend(['"', '\\']);
+        full.extend_from_slice(&plain);
+        let mut rng = crate::rng::DetRng::new(0x6a73_6f6e);
+        for _ in 0..2000 {
+            // Half the strings need no escaping, so both cases run.
+            let alphabet = if rng.chance(1, 2) { &plain } else { &full };
+            let len = rng.below(24) as usize;
+            let s: String = (0..len)
+                .map(|_| alphabet[rng.below(alphabet.len() as u64) as usize])
+                .collect();
+            let mut w = JsonWriter::new();
+            w.obj(|w| {
+                w.field_str(&s, &s);
+                w.field("arr", |w| w.arr(|w| w.elem(|w| w.str(&s))));
+            });
+            let doc = w.finish();
+            let e = reference_escape(&s);
+            assert_eq!(
+                doc,
+                format!("{{\"{e}\":\"{e}\",\"arr\":[\"{e}\"]}}"),
+                "{s:?}"
+            );
+            let v = crate::jsonr::parse(&doc).expect("escaped output parses");
+            let fields = v.as_obj().expect("an object");
+            assert_eq!(fields[0].0, s);
+            assert_eq!(fields[0].1.as_str(), Some(s.as_str()));
+            let arr = fields[1].1.as_arr().expect("an array");
+            assert_eq!(arr[0].as_str(), Some(s.as_str()));
+        }
     }
 
     #[test]

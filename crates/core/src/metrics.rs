@@ -14,7 +14,10 @@
 //! `sim_iommu.iotlb.hit`, `sim_net.tx.ring_full`,
 //! `dkasan.shadow.updates`. Names are `&'static str` so recording is
 //! allocation-free; the registry keys on them in a `BTreeMap`, which
-//! also fixes the (deterministic) export order.
+//! also fixes the (deterministic) export order. A [`Snapshot`] keys its
+//! tables with `Cow<'static, str>`: a live snapshot borrows the
+//! registry's names, so taking, merging, diffing and rendering one
+//! copies no name; a snapshot loaded from JSON owns the names it read.
 //!
 //! # Histogram bucket policy
 //!
@@ -25,6 +28,7 @@
 //! the same values always render the same buckets.
 
 use crate::clock::Cycles;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -377,29 +381,30 @@ impl Metrics {
     }
 
     /// Takes a deterministic snapshot, stamped with the current cycle.
+    /// Its names borrow the registry's `&'static str`s.
     pub fn snapshot(&self, now: Cycles) -> Snapshot {
         Snapshot {
             at: now,
             counters: self
                 .counters
                 .iter()
-                .map(|(k, v)| (k.to_string(), *v))
+                .map(|(k, v)| (Cow::Borrowed(*k), *v))
                 .collect(),
             gauges: self
                 .gauges
                 .iter()
-                .map(|(k, v)| (k.to_string(), *v))
+                .map(|(k, v)| (Cow::Borrowed(*k), *v))
                 .collect(),
             hists: self
                 .hists
                 .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
+                .map(|(k, v)| (Cow::Borrowed(*k), v.clone()))
                 .collect(),
             spans: self
                 .spans
                 .agg
                 .iter()
-                .map(|(k, v)| (k.to_string(), *v))
+                .map(|(k, v)| (Cow::Borrowed(*k), *v))
                 .collect(),
             timeline_dropped: self.spans.timeline_dropped,
         }
@@ -410,19 +415,21 @@ impl Metrics {
 ///
 /// Field order inside every table is the `BTreeMap` (lexicographic)
 /// order of the source registry, so both renderers below are
-/// byte-deterministic for a given simulation history.
+/// byte-deterministic for a given simulation history. Names are
+/// borrowed from the registry ([`Metrics::snapshot`]) or owned
+/// ([`Snapshot::from_json`]); equality compares their text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Snapshot {
     /// Simulated cycle the snapshot was taken at.
     pub at: Cycles,
     /// Counter table.
-    pub counters: Vec<(String, u64)>,
+    pub counters: Vec<(Cow<'static, str>, u64)>,
     /// Gauge table.
-    pub gauges: Vec<(String, Gauge)>,
+    pub gauges: Vec<(Cow<'static, str>, Gauge)>,
     /// Histogram table.
-    pub hists: Vec<(String, Histogram)>,
+    pub hists: Vec<(Cow<'static, str>, Histogram)>,
     /// Span aggregates.
-    pub spans: Vec<(String, SpanAgg)>,
+    pub spans: Vec<(Cow<'static, str>, SpanAgg)>,
     /// Timeline records dropped past [`TIMELINE_CAP`].
     pub timeline_dropped: u64,
 }
@@ -583,7 +590,9 @@ impl Snapshot {
     /// can be compared against live registries without serde. Returns
     /// `None` on structurally invalid input; the round trip
     /// `from_json(s.to_json())` is exact (the derived `mean` field is
-    /// ignored on load and recomputed on render).
+    /// ignored on load and recomputed on render). The loaded snapshot
+    /// owns its names: they come from a file, so they are neither
+    /// interned nor leaked.
     pub fn from_json(doc: &str) -> Option<Snapshot> {
         let v = crate::jsonr::parse(doc).ok()?;
         Snapshot::from_jvalue(&v)
@@ -594,12 +603,12 @@ impl Snapshot {
         let at = v.u64_field("at_cycles")?;
         let mut counters = Vec::new();
         for (k, c) in v.get("counters")?.as_obj()? {
-            counters.push((k.clone(), c.as_u64()?));
+            counters.push((Cow::Owned(k.clone()), c.as_u64()?));
         }
         let mut gauges = Vec::new();
         for (k, g) in v.get("gauges")?.as_obj()? {
             gauges.push((
-                k.clone(),
+                Cow::Owned(k.clone()),
                 Gauge {
                     value: g.u64_field("value")?,
                     min: g.u64_field("min")?,
@@ -635,12 +644,12 @@ impl Snapshot {
                 };
                 hist.buckets[idx] = n;
             }
-            hists.push((k.clone(), hist));
+            hists.push((Cow::Owned(k.clone()), hist));
         }
         let mut spans = Vec::new();
         for (k, s) in v.get("spans")?.as_obj()? {
             spans.push((
-                k.clone(),
+                Cow::Owned(k.clone()),
                 SpanAgg {
                     count: s.u64_field("count")?,
                     total_cycles: s.u64_field("total_cycles")?,
@@ -667,19 +676,19 @@ impl Snapshot {
     /// delta. Metrics present in `prev` but absent from `self` are
     /// reported as having dropped to zero — for live registries that
     /// never happens (registries only grow), so in file-diff mode it
-    /// flags a genuinely suspect trajectory.
+    /// flags a genuinely suspect trajectory. Names are shared with the
+    /// inputs (`Cow` clones), so a delta of live snapshots copies none.
     pub fn diff(&self, prev: &Snapshot) -> SnapshotDelta {
-        fn union_keys<'a, T>(new: &'a [(String, T)], old: &'a [(String, T)]) -> Vec<&'a str> {
-            let mut keys: Vec<&str> = new
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .chain(old.iter().map(|(k, _)| k.as_str()))
-                .collect();
+        fn union_keys<'a, T>(
+            new: &'a [(Cow<'static, str>, T)],
+            old: &'a [(Cow<'static, str>, T)],
+        ) -> Vec<&'a Cow<'static, str>> {
+            let mut keys: Vec<&Cow<'static, str>> = new.iter().chain(old).map(|(k, _)| k).collect();
             keys.sort_unstable();
             keys.dedup();
             keys
         }
-        fn find<'a, T>(table: &'a [(String, T)], key: &str) -> Option<&'a T> {
+        fn find<'a, T>(table: &'a [(Cow<'static, str>, T)], key: &str) -> Option<&'a T> {
             table.iter().find(|(k, _)| k == key).map(|(_, v)| v)
         }
 
@@ -688,7 +697,7 @@ impl Snapshot {
             let new = find(&self.counters, k).copied().unwrap_or(0);
             let old = find(&prev.counters, k).copied().unwrap_or(0);
             if new != old {
-                counters.push((k.to_string(), new, new as i64 - old as i64));
+                counters.push((k.clone(), new, new as i64 - old as i64));
             }
         }
         let mut gauges = Vec::new();
@@ -696,16 +705,18 @@ impl Snapshot {
             let new = find(&self.gauges, k).copied().unwrap_or_default();
             let old = find(&prev.gauges, k).copied().unwrap_or_default();
             if new != old {
-                gauges.push((k.to_string(), new, new.value as i64 - old.value as i64));
+                gauges.push((k.clone(), new, new.value as i64 - old.value as i64));
             }
         }
+        // A histogram absent on one side compares against this one.
+        let zero = Histogram::default();
         let mut hists = Vec::new();
         for k in union_keys(&self.hists, &prev.hists) {
-            let new = find(&self.hists, k).cloned().unwrap_or_default();
-            let old = find(&prev.hists, k).cloned().unwrap_or_default();
+            let new = find(&self.hists, k).unwrap_or(&zero);
+            let old = find(&prev.hists, k).unwrap_or(&zero);
             if new != old {
                 hists.push((
-                    k.to_string(),
+                    k.clone(),
                     HistDelta {
                         count: new.count,
                         count_delta: new.count as i64 - old.count as i64,
@@ -721,7 +732,7 @@ impl Snapshot {
             let old = find(&prev.spans, k).copied().unwrap_or_default();
             if new != old {
                 spans.push((
-                    k.to_string(),
+                    k.clone(),
                     SpanDelta {
                         count: new.count,
                         count_delta: new.count as i64 - old.count as i64,
@@ -730,7 +741,11 @@ impl Snapshot {
                 ));
             }
         }
-        fn absent<T>(new: &[(String, T)], old: &[(String, T)], missing: &mut Vec<String>) {
+        fn absent<T>(
+            new: &[(Cow<'static, str>, T)],
+            old: &[(Cow<'static, str>, T)],
+            missing: &mut Vec<Cow<'static, str>>,
+        ) {
             for (k, _) in old {
                 if !new.iter().any(|(nk, _)| nk == k) {
                     missing.push(k.clone());
@@ -767,13 +782,28 @@ impl Snapshot {
     /// take the min-of-mins / max-of-maxes. Tables stay sorted by name,
     /// so merging the same snapshots in the same order is byte-stable —
     /// and because each input is itself deterministic, the fold is too.
+    ///
+    /// When a table of both snapshots lists the same names in the same
+    /// strictly increasing order — every pair of live registries of one
+    /// campaign shape, such as a session's shards — its values combine
+    /// in place. Any other pair of tables folds through a sorted map,
+    /// which sorts and deduplicates them; both give the same table.
     pub fn merge(&mut self, other: &Snapshot) {
         fn fold<T: Clone>(
-            dst: &mut Vec<(String, T)>,
-            src: &[(String, T)],
+            dst: &mut Vec<(Cow<'static, str>, T)>,
+            src: &[(Cow<'static, str>, T)],
             combine: impl Fn(&mut T, &T),
         ) {
-            let mut map: BTreeMap<String, T> = dst.drain(..).collect();
+            let aligned = dst.len() == src.len()
+                && dst.iter().zip(src).all(|((d, _), (s, _))| d == s)
+                && dst.windows(2).all(|w| w[0].0 < w[1].0);
+            if aligned {
+                for ((_, d), (_, s)) in dst.iter_mut().zip(src) {
+                    combine(d, s);
+                }
+                return;
+            }
+            let mut map: BTreeMap<Cow<'static, str>, T> = dst.drain(..).collect();
             for (k, v) in src {
                 match map.get_mut(k) {
                     Some(d) => combine(d, v),
@@ -849,19 +879,19 @@ pub struct SnapshotDelta {
     /// Cycle stamp of the new snapshot.
     pub at: Cycles,
     /// Changed counters: `(name, new_value, delta)`.
-    pub counters: Vec<(String, u64, i64)>,
+    pub counters: Vec<(Cow<'static, str>, u64, i64)>,
     /// Changed gauges: `(name, new_gauge, value_delta)`.
-    pub gauges: Vec<(String, Gauge, i64)>,
+    pub gauges: Vec<(Cow<'static, str>, Gauge, i64)>,
     /// Changed histograms.
-    pub hists: Vec<(String, HistDelta)>,
+    pub hists: Vec<(Cow<'static, str>, HistDelta)>,
     /// Changed span aggregates.
-    pub spans: Vec<(String, SpanDelta)>,
+    pub spans: Vec<(Cow<'static, str>, SpanDelta)>,
     /// Metrics present in the previous snapshot but absent from the new
     /// one — any table, sorted. A live registry never loses a metric
     /// (registries only grow), so across two dumps a vanished metric is
     /// as suspect as a counter going backwards; a zero-valued counter
     /// that disappears would otherwise be invisible (no value moved).
-    pub missing: Vec<String>,
+    pub missing: Vec<Cow<'static, str>>,
     /// Change in dropped timeline records.
     pub timeline_dropped_delta: i64,
 }
@@ -886,7 +916,7 @@ impl SnapshotDelta {
         self.counters
             .iter()
             .filter(|(_, _, d)| *d < 0)
-            .map(|(k, _, _)| k.as_str())
+            .map(|(k, _, _)| k.as_ref())
             .collect()
     }
 
@@ -1300,7 +1330,7 @@ mod tests {
         let d = after.diff(&before);
         assert_eq!(d.from, 100);
         assert_eq!(d.at, 160);
-        let names: Vec<&str> = d.counters.iter().map(|(k, _, _)| k.as_str()).collect();
+        let names: Vec<&str> = d.counters.iter().map(|(k, _, _)| k.as_ref()).collect();
         assert_eq!(names, ["fresh", "pkts"], "drops did not change");
         assert!(d.counters.contains(&("pkts".into(), 8, 5)));
         assert!(d.counters.contains(&("fresh".into(), 1, 1)));
@@ -1364,7 +1394,7 @@ mod tests {
         merged.merge(&shard(2));
         merged.merge(&shard(4));
         assert_eq!(merged.at, 700);
-        assert_eq!(merged.counters, [("execs".to_string(), 7)]);
+        assert_eq!(merged.counters, [("execs".into(), 7)]);
         let h = &merged.hists[0].1;
         assert_eq!((h.count, h.sum, h.max), (3, 21, 12));
         let g = merged.gauges[0].1;
@@ -1392,6 +1422,182 @@ mod tests {
         let mut right = shard(1);
         right.merge(&bc);
         assert_eq!(left, right);
+    }
+
+    /// Shard merge re-done over `String` keys in a `BTreeMap`, name by
+    /// name with the documented rules: the reference `merge` must equal
+    /// whether it combines in place or folds.
+    fn reference_merge(a: &Snapshot, b: &Snapshot) -> Snapshot {
+        fn fold<T: Clone>(
+            tables: [&[(Cow<'static, str>, T)]; 2],
+            combine: impl Fn(&mut T, &T),
+        ) -> Vec<(Cow<'static, str>, T)> {
+            let mut map: BTreeMap<String, T> = BTreeMap::new();
+            for (k, v) in tables.into_iter().flatten() {
+                match map.get_mut(k.as_ref()) {
+                    Some(d) => combine(d, v),
+                    None => {
+                        map.insert(k.to_string(), v.clone());
+                    }
+                }
+            }
+            map.into_iter().map(|(k, v)| (Cow::Owned(k), v)).collect()
+        }
+        Snapshot {
+            at: a.at + b.at,
+            counters: fold([&a.counters, &b.counters], |d, s| *d += s),
+            gauges: fold([&a.gauges, &b.gauges], |d, s| match (d.sets, s.sets) {
+                (0, _) => *d = *s,
+                (_, 0) => {}
+                _ => {
+                    *d = Gauge {
+                        value: d.value + s.value,
+                        min: d.min.min(s.min),
+                        max: d.max.max(s.max),
+                        sets: d.sets + s.sets,
+                    }
+                }
+            }),
+            hists: fold([&a.hists, &b.hists], |d, s| {
+                for i in 0..=HIST_BUCKETS {
+                    d.buckets[i] += s.buckets[i];
+                }
+                d.count += s.count;
+                d.sum += s.sum;
+                d.max = d.max.max(s.max);
+            }),
+            spans: fold([&a.spans, &b.spans], |d, s| {
+                d.count += s.count;
+                d.total_cycles += s.total_cycles;
+                d.max_cycles = d.max_cycles.max(s.max_cycles);
+            }),
+            timeline_dropped: a.timeline_dropped + b.timeline_dropped,
+        }
+    }
+
+    #[test]
+    fn merge_equals_a_reference_fold_with_same_or_differing_names() {
+        let shard = |seed: u64, extra: bool| {
+            let mut m = Metrics::new();
+            m.add("execs", seed);
+            if extra {
+                m.add("drops", seed + 1);
+                m.observe("extra.lat", seed * 7);
+            }
+            m.observe("lat", seed * 3);
+            m.observe("lat", 1 << 40);
+            m.gauge_set("ring", seed);
+            let t = m.span_begin_at("poll", 0);
+            m.span_end_at(t, seed * 10);
+            m.restore_timeline_dropped(seed);
+            m.snapshot(seed * 100)
+        };
+        // Same names in the same order: the in-place case.
+        let (a, b) = (shard(1, false), shard(2, false));
+        let mut merged = a.clone();
+        merged.merge(&b);
+        assert_eq!(merged, reference_merge(&a, &b));
+        // One shard lacks a counter, the other has an extra histogram:
+        // the fold, in either order.
+        let (plain, extra) = (shard(3, false), shard(4, true));
+        let mut merged = plain.clone();
+        merged.merge(&extra);
+        assert_eq!(merged, reference_merge(&plain, &extra));
+        let names: Vec<&str> = merged.counters.iter().map(|(k, _)| k.as_ref()).collect();
+        assert_eq!(names, ["drops", "execs"]);
+        let mut merged = extra.clone();
+        merged.merge(&plain);
+        assert_eq!(merged, reference_merge(&extra, &plain));
+    }
+
+    #[test]
+    fn an_unsorted_loaded_snapshot_merges_into_sorted_tables() {
+        let loaded = Snapshot::from_json(
+            r#"{"at_cycles":5,"counters":{"z.last":1,"a.first":2},"gauges":{},
+            "histograms":{},"spans":{},"timeline_dropped":0}"#,
+        )
+        .expect("a valid dump");
+        // Same names on both sides, but not in increasing order.
+        let mut twice = loaded.clone();
+        twice.merge(&loaded);
+        assert_eq!(
+            twice.counters,
+            [("a.first".into(), 4), ("z.last".into(), 2)]
+        );
+        let mut m = Metrics::new();
+        m.add("m.mid", 7);
+        m.add("a.first", 1);
+        let live = m.snapshot(1);
+        let mut live_first = live.clone();
+        live_first.merge(&loaded);
+        let mut loaded_first = loaded.clone();
+        loaded_first.merge(&live);
+        for merged in [live_first, loaded_first] {
+            assert_eq!(
+                merged.counters,
+                [
+                    ("a.first".into(), 3),
+                    ("m.mid".into(), 7),
+                    ("z.last".into(), 1)
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn diff_compares_a_one_sided_histogram_against_zero() {
+        let mut m = Metrics::new();
+        m.observe("lat", 5);
+        m.observe("lat", 9);
+        let with = m.snapshot(10);
+        let without = Metrics::new().snapshot(0);
+        let grew = with.diff(&without);
+        let up = HistDelta {
+            count: 2,
+            count_delta: 2,
+            sum_delta: 14,
+            max: 9,
+        };
+        assert_eq!(grew.hists, [("lat".into(), up)]);
+        assert!(grew.missing.is_empty());
+        let gone = without.diff(&with);
+        let down = HistDelta {
+            count: 0,
+            count_delta: -2,
+            sum_delta: -14,
+            max: 0,
+        };
+        assert_eq!(gone.hists, [("lat".into(), down)]);
+        assert_eq!(gone.missing, ["lat"]);
+    }
+
+    #[test]
+    fn live_snapshots_borrow_names_and_loaded_ones_own_them() {
+        fn names(s: &Snapshot) -> Vec<&Cow<'static, str>> {
+            let c = s.counters.iter().map(|(k, _)| k);
+            let g = s.gauges.iter().map(|(k, _)| k);
+            let h = s.hists.iter().map(|(k, _)| k);
+            c.chain(g)
+                .chain(h)
+                .chain(s.spans.iter().map(|(k, _)| k))
+                .collect()
+        }
+        let borrowed = |k: &&Cow<'static, str>| matches!(k, Cow::Borrowed(_));
+        let live = busy_registry().snapshot(123);
+        assert_eq!(names(&live).len(), 5);
+        assert!(names(&live).iter().all(borrowed));
+        // Merging and diffing live snapshots keeps borrowing.
+        let mut merged = live.clone();
+        merged.merge(&live);
+        assert!(names(&merged).iter().all(borrowed));
+        let d = merged.diff(&live);
+        assert!(d
+            .counters
+            .iter()
+            .all(|(k, _, _)| matches!(k, Cow::Borrowed(_))));
+        let loaded = Snapshot::from_json(&live.to_json()).expect("parse own rendering");
+        assert_eq!(loaded, live);
+        assert!(!names(&loaded).iter().any(borrowed));
     }
 
     #[test]

@@ -191,11 +191,11 @@ impl Server {
                 return Flow::Continue;
             }
         };
-        let Some(kind) = req.str_field("req").map(|s| s.to_string()) else {
+        let Some(kind) = req.str_field("req") else {
             out.push(error_frame("request must be an object with a \"req\" key"));
             return Flow::Continue;
         };
-        match kind.as_str() {
+        match kind {
             "hello" => {
                 out.push(self.hello_frame());
                 Flow::Continue
