@@ -28,7 +28,7 @@ use dma_core::vuln::{AttackOutcome, WindowPath};
 use dma_core::{DmaError, Iova, Kva, Pfn, Result};
 use sim_iommu::{InvalidationMode, IommuConfig};
 use sim_net::driver::{DriverConfig, UnmapOrder};
-use sim_net::packet::{Packet, HEADER_SIZE};
+use sim_net::packet::Packet;
 use sim_net::shinfo::{SHINFO_FRAGS, SHINFO_NR_FRAGS};
 use sim_net::skb::NET_SKB_PAD;
 use sim_net::stack::StackConfig;
@@ -325,10 +325,4 @@ pub fn surveil(
     // Stealth: undo the forgery before completing, then complete.
     let _ = tb.complete_all_tx();
     Ok(SurveillanceReport { stolen, target })
-}
-
-/// Convenience: payload header size, exposed for tests constructing
-/// segments around the poison.
-pub const fn segment_header_size() -> usize {
-    HEADER_SIZE
 }

@@ -1,48 +1,12 @@
 //! The common final stage of every code-injection attack (Figure 4):
-//! deposit the poison, point `destructor_arg` at it, let the CPU free
-//! the skb, and observe the outcome.
+//! once the poison is deposited and `destructor_arg` points at it, let
+//! the CPU free the skb and observe the outcome.
 
 use crate::cpu::{CpuOutcome, MiniCpu};
-use crate::rop::PoisonedBuffer;
-use devsim::MaliciousNic;
 use dma_core::vuln::AttackOutcome;
-use dma_core::{Iova, Kva, Result, SimCtx};
-use sim_iommu::Iommu;
+use dma_core::SimCtx;
 use sim_mem::MemorySystem;
 use sim_net::skb::PendingCallback;
-
-/// Deposits a poisoned buffer into a device-writable mapping at
-/// `iova + offset` (Figure 4 steps (b)/(c)).
-pub fn deposit_poison(
-    nic: &MaliciousNic,
-    ctx: &mut SimCtx,
-    iommu: &mut Iommu,
-    mem: &mut MemorySystem,
-    iova: Iova,
-    offset: usize,
-    poison: &PoisonedBuffer,
-) -> Result<()> {
-    nic.deposit(ctx, iommu, &mut mem.phys, iova, offset, &poison.bytes)
-}
-
-/// Points a shared info's `destructor_arg` at the poisoned buffer's
-/// (guessed or learned) KVA.
-pub fn point_destructor_arg(
-    nic: &MaliciousNic,
-    ctx: &mut SimCtx,
-    iommu: &mut Iommu,
-    mem: &mut MemorySystem,
-    shinfo_iova: Iova,
-    poison_kva: Kva,
-) -> Result<()> {
-    nic.overwrite_destructor_arg(
-        ctx,
-        iommu,
-        &mut mem.phys,
-        shinfo_iova,
-        PoisonedBuffer::destructor_arg_for(poison_kva),
-    )
-}
 
 /// Fires a pending callback on the CPU model and classifies the result
 /// (Figure 4 step (d)).
@@ -69,6 +33,8 @@ pub fn fire(
 mod tests {
     use super::*;
     use crate::image::KernelImage;
+    use crate::rop::PoisonedBuffer;
+    use dma_core::Kva;
     use sim_mem::MemConfig;
 
     #[test]

@@ -7,47 +7,15 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dma_core::vuln::DmaDirection;
-use dma_core::SimCtx;
-use sim_iommu::{dma_map_single, dma_unmap_single, InvalidationMode, Iommu, IommuConfig};
-use sim_mem::{MemConfig, MemorySystem};
-
-fn setup(mode: InvalidationMode) -> (SimCtx, MemorySystem, Iommu) {
-    let ctx = SimCtx::new();
-    let mem = MemorySystem::new(&MemConfig::default());
-    let mut iommu = Iommu::new(IommuConfig {
-        mode,
-        ..Default::default()
-    });
-    iommu.attach_device(1);
-    (ctx, mem, iommu)
-}
-
-fn one_io(ctx: &mut SimCtx, mem: &mut MemorySystem, iommu: &mut Iommu) {
-    let buf = mem.kmalloc(ctx, 2048, "io").unwrap();
-    let m = dma_map_single(
-        ctx,
-        iommu,
-        &mem.layout,
-        1,
-        buf,
-        2048,
-        DmaDirection::FromDevice,
-        "m",
-    )
-    .unwrap();
-    iommu
-        .dev_write(ctx, &mut mem.phys, 1, m.iova, b"payload")
-        .unwrap();
-    dma_unmap_single(ctx, iommu, &m).unwrap();
-    mem.kfree(ctx, buf).unwrap();
-}
+use dma_lab::benchfile::{iommu_setup, one_io};
+use sim_iommu::{dma_map_single, dma_unmap_single, InvalidationMode};
 
 fn print_figure6_series() {
     eprintln!("== Figure 6 (simulated cycles): strict vs deferred ==");
     for mode in [InvalidationMode::Strict, InvalidationMode::Deferred] {
-        let (mut ctx, mut mem, mut iommu) = setup(mode);
+        let (mut ctx, mut mem, mut iommu) = iommu_setup(mode);
         for _ in 0..1000 {
-            one_io(&mut ctx, &mut mem, &mut iommu);
+            one_io(&mut ctx, &mut mem, &mut iommu).unwrap();
         }
         // Let any pending flush run.
         ctx.clock.advance_ms(11);
@@ -73,10 +41,10 @@ fn bench_io_cycle(c: &mut Criterion) {
     ] {
         g.bench_function(format!("map_dma_unmap_{name}"), |b| {
             b.iter_batched(
-                || setup(mode),
+                || iommu_setup(mode),
                 |(mut ctx, mut mem, mut iommu)| {
                     for _ in 0..64 {
-                        one_io(&mut ctx, &mut mem, &mut iommu);
+                        one_io(&mut ctx, &mut mem, &mut iommu).unwrap();
                     }
                 },
                 BatchSize::SmallInput,
@@ -91,7 +59,7 @@ fn bench_translation(c: &mut Criterion) {
     g.sample_size(20);
     // IOTLB hit vs page-table walk.
     g.bench_function("dev_write_iotlb_hot", |b| {
-        let (mut ctx, mut mem, mut iommu) = setup(InvalidationMode::Strict);
+        let (mut ctx, mut mem, mut iommu) = iommu_setup(InvalidationMode::Strict);
         let buf = mem.kmalloc(&mut ctx, 2048, "io").unwrap();
         let m = dma_map_single(
             &mut ctx,
@@ -114,7 +82,7 @@ fn bench_translation(c: &mut Criterion) {
         })
     });
     g.bench_function("map_unmap_page_table_churn", |b| {
-        let (mut ctx, mut mem, mut iommu) = setup(InvalidationMode::Strict);
+        let (mut ctx, mut mem, mut iommu) = iommu_setup(InvalidationMode::Strict);
         let buf = mem.kmalloc(&mut ctx, 2048, "io").unwrap();
         b.iter(|| {
             let m = dma_map_single(

@@ -156,9 +156,6 @@ pub struct FaultPlan {
     rng: DetRng,
     /// Master switch; a disabled plan never fires (rules are kept).
     pub enabled: bool,
-    /// Calls observed per site tag (populated only while rules exist,
-    /// so the empty-plan fast path stays allocation-free).
-    site_calls: BTreeMap<String, u64>,
     /// Faults injected per site tag.
     site_hits: BTreeMap<String, u64>,
 }
@@ -182,7 +179,6 @@ impl FaultPlan {
             rules: Vec::new(),
             rng: DetRng::new(seed),
             enabled: true,
-            site_calls: BTreeMap::new(),
             site_hits: BTreeMap::new(),
         }
     }
@@ -250,12 +246,10 @@ impl FaultPlan {
 
     fn should_fail_slow(&mut self, site: &str) -> bool {
         let mut fired = false;
-        let mut matched = false;
         for rule in &mut self.rules {
             if !rule.matches(site) {
                 continue;
             }
-            matched = true;
             rule.calls += 1;
             if fired || !rule.armed {
                 continue;
@@ -282,9 +276,6 @@ impl FaultPlan {
                 fired = true;
             }
         }
-        if matched {
-            *self.site_calls.entry(site.to_owned()).or_insert(0) += 1;
-        }
         if fired {
             *self.site_hits.entry(site.to_owned()).or_insert(0) += 1;
         }
@@ -300,11 +291,6 @@ impl FaultPlan {
     /// replayability fingerprint the chaos soak compares across runs.
     pub fn hits_by_site(&self) -> &BTreeMap<String, u64> {
         &self.site_hits
-    }
-
-    /// Per-site call counts for sites covered by at least one rule.
-    pub fn calls_by_site(&self) -> &BTreeMap<String, u64> {
-        &self.site_calls
     }
 
     /// Read-only view of the rules with their counters.

@@ -248,11 +248,6 @@ impl KernelLayout {
         (self.text_base.raw()..self.text_base.raw() + self.text_size).contains(&kva.raw())
     }
 
-    /// Returns `true` if `kva` lies inside the populated direct map.
-    pub fn in_direct_map(&self, kva: Kva) -> bool {
-        self.kva_to_phys(kva).is_ok()
-    }
-
     /// Formats the Table-1 layout rows (fixed ranges, not randomized
     /// bases), one row per region.
     pub fn table1() -> Vec<(String, String, String, &'static str)> {

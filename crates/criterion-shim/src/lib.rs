@@ -101,11 +101,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Accepted for compatibility; the shim has no time budget.
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Declares the per-iteration work so results can report a rate.
     pub fn throughput(&mut self, t: Throughput) -> &mut Self {
         self.throughput = Some(t);

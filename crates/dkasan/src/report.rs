@@ -164,10 +164,6 @@ pub struct Summary {
     /// Findings where the device holds write (or bidirectional) rights —
     /// the ones that are attack surface rather than mere leakage.
     pub writable: usize,
-    /// Events the bounded flight recorder evicted before D-KASAN could
-    /// replay them (0 when tracing was unbounded). Non-zero means the
-    /// finding set is a lower bound, not silently complete.
-    pub trace_dropped: u64,
 }
 
 impl Summary {
@@ -192,16 +188,6 @@ impl Summary {
             top_sites,
             pages: pages.len(),
             writable,
-            trace_dropped: 0,
-        }
-    }
-
-    /// Same as [`Summary::of`], recording how many events the bounded
-    /// recorder evicted before replay.
-    pub fn of_recorded(findings: &[DKasanFinding], trace_dropped: u64) -> Summary {
-        Summary {
-            trace_dropped,
-            ..Summary::of(findings)
         }
     }
 
@@ -213,12 +199,6 @@ impl Summary {
         }
         s.push_str(&format!("  distinct pages     {}\n", self.pages));
         s.push_str(&format!("  device-writable    {}\n", self.writable));
-        if self.trace_dropped > 0 {
-            s.push_str(&format!(
-                "  trace dropped      {} (recorder evicted; counts are lower bounds)\n",
-                self.trace_dropped
-            ));
-        }
         s.push_str("  top sites:\n");
         for (site, n) in self.top_sites.iter().take(5) {
             s.push_str(&format!("    {site:<28} {n}\n"));
@@ -352,13 +332,6 @@ mod tests {
         ] {
             assert_ne!(f.id(), other.id(), "{other:?}");
         }
-    }
-
-    #[test]
-    fn summary_renders_recorder_drops_only_when_present() {
-        let s = Summary::of_recorded(&[], 12);
-        assert!(s.render().contains("trace dropped      12"));
-        assert!(!Summary::of(&[]).render().contains("trace dropped"));
     }
 
     #[test]

@@ -80,10 +80,11 @@ impl WorkloadReport {
         self.dkasan.findings_of(kind).len()
     }
 
-    /// Aggregated summary, surfacing how many events fell out of the
-    /// black box before anyone could investigate them.
+    /// Aggregated summary. Its counts are exact: D-KASAN processes every
+    /// event before the black box sees it, so black-box evictions cost
+    /// forensics, not findings.
     pub fn summary(&self) -> Summary {
-        Summary::of_recorded(self.dkasan.findings(), self.black_box.dropped())
+        Summary::of(self.dkasan.findings())
     }
 }
 
@@ -249,16 +250,17 @@ mod tests {
     }
 
     #[test]
-    fn black_box_retains_the_tail_and_summary_surfaces_drops() {
+    fn black_box_evicts_yet_the_summary_counts_stay_exact() {
         let report = run_workload(WorkloadConfig::default()).unwrap();
         assert!(!report.black_box.is_empty());
         assert!(
             report.black_box.dropped() > 0,
             "200 rounds emit more than the black box retains"
         );
-        let summary = report.summary();
-        assert_eq!(summary.trace_dropped, report.black_box.dropped());
-        assert!(summary.render().contains("trace dropped"));
+        // D-KASAN saw every event, so the summary claims no lower bound.
+        let summary = report.summary().render();
+        assert!(!summary.contains("trace dropped"), "{summary}");
+        assert!(!summary.contains("lower bound"), "{summary}");
         // The retained tail is chronological.
         let tail = report.black_box.snapshot();
         assert!(tail.windows(2).all(|w| w[0].at() <= w[1].at()));

@@ -28,8 +28,7 @@ use dkasan::stable_id;
 use dma_core::checkpoint::intern;
 use dma_core::jsonw::JsonWriter;
 use dma_core::{
-    CheckpointStore, CoverageMap, DetRng, DmaError, Event, FaultPlan, FlightRecorder, Metrics,
-    Profile, Result,
+    CheckpointStore, CoverageMap, DetRng, DmaError, Event, FlightRecorder, Metrics, Profile, Result,
 };
 
 use crate::exec::{ExecContext, ExecStatus, FuzzFinding, DEFAULT_WATCHDOG_BUDGET};
@@ -332,26 +331,6 @@ impl Campaign {
         Ok(Campaign {
             cfg,
             store,
-            state,
-            bus: Vec::new(),
-            exec_cx: ExecContext::new(),
-            last_checkpoint: None,
-        })
-    }
-
-    /// Like [`Campaign::new`] but with a fault plan armed on the
-    /// checkpoint store's I/O (site tags `checkpoint.write` /
-    /// `checkpoint.load`).
-    pub fn new_with_io_faults(cfg: CampaignConfig, faults: FaultPlan) -> Result<Campaign> {
-        let dir = cfg
-            .checkpoint_dir
-            .clone()
-            .ok_or(DmaError::Invariant("io faults need a checkpoint dir"))?;
-        let store = CheckpointStore::open_with_faults(dir, faults, cfg.seed)?;
-        let state = CampaignState::new(cfg.seed);
-        Ok(Campaign {
-            cfg,
-            store: Some(store),
             state,
             bus: Vec::new(),
             exec_cx: ExecContext::new(),

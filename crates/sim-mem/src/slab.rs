@@ -82,7 +82,6 @@ impl Cache {
 #[derive(Debug, Clone, Copy)]
 struct LiveObject {
     cache_idx: usize,
-    requested: usize,
 }
 
 /// The set of kmalloc caches plus the page→cache ownership index.
@@ -130,12 +129,6 @@ impl KmallocCaches {
         self.live
             .get(&kva.raw())
             .map(|o| self.caches[o.cache_idx].object_size)
-    }
-
-    /// Returns the size originally *requested* for a live allocation
-    /// (reported by D-KASAN, which shows request sizes, not class sizes).
-    pub fn requested_size(&self, kva: Kva) -> Option<usize> {
-        self.live.get(&kva.raw()).map(|o| o.requested)
     }
 
     /// `true` if `pfn` currently backs a slab.
@@ -209,13 +202,7 @@ impl KmallocCaches {
         // Scrub the freelist pointer so the caller sees zeroed-ish memory.
         phys.write_u64(pa, 0)?;
 
-        self.live.insert(
-            kva.raw(),
-            LiveObject {
-                cache_idx,
-                requested: size,
-            },
-        );
+        self.live.insert(kva.raw(), LiveObject { cache_idx });
         ctx.emit(Event::Alloc {
             at: ctx.clock.now(),
             kva,

@@ -721,11 +721,6 @@ impl NicDriver {
     pub fn tx_in_flight(&self) -> usize {
         self.tx.iter().filter(|s| !s.completed).count()
     }
-
-    /// Number of completed-but-unpolled RX buffers.
-    pub fn rx_pending(&self) -> usize {
-        self.completed.len()
-    }
 }
 
 #[cfg(test)]

@@ -40,6 +40,17 @@ fn help_lists_all_subcommands() {
         assert!(out.contains(cmd), "help missing {cmd}:\n{out}");
     }
     assert!(out.contains("EXIT CODES"), "help documents exit codes");
+    // USAGE is rendered from the command table, so every flag a command
+    // accepts shows in its entry (the entry runs to the next command).
+    let entry = |cmd: &str| {
+        let start = out.find(&format!("    dma-lab {cmd} ")).expect(cmd) + 4;
+        let len = out[start..]
+            .find("\n    dma-lab")
+            .expect("more entries follow");
+        out[start..start + len].to_string()
+    };
+    assert!(entry("layout").contains("[--seed N]"), "{out}");
+    assert!(entry("trace").contains("[--faults SEED]"), "{out}");
 }
 
 #[test]
@@ -185,12 +196,7 @@ fn fuzz_usage_errors_exit_two() {
         &["fuzz", "--iters", "banana"][..],
         &["fuzz", "--seed", "0x7"][..],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(out.stdout.is_empty(), "usage errors keep stdout clean");
+        assert_usage_error(args);
     }
 }
 
@@ -270,12 +276,7 @@ fn forensics_usage_errors_exit_two() {
         &["forensics", "--iters", "0"][..],
         &["forensics", "--seed", "banana"][..],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(out.stdout.is_empty(), "usage errors keep stdout clean");
+        assert_usage_error(args);
     }
 }
 
@@ -423,19 +424,40 @@ fn hardened_arg_parsing_rejects_malformed_numbers_everywhere() {
         &["bench"][..],            // --check is mandatory
         &["bench", "--check"][..], // ... with at least one file
         &["bench", "--check", "/nonexistent/BENCH_x.json"][..],
+        // Argv that used to panic, abort or quietly run something else.
+        &["survey", "--boots", "0"][..],
+        &["chaos", "--seed", "18446744073709551615", "--runs", "1"][..],
+        &["dump", "--frames", "100000000000"][..],
+        &["dump", "--start", "4503599627370496", "--frames", "1"][..],
+        &["attack", "ringflood", "--window", "iv"][..],
+        &["survey", "--profile", "4.16"][..],
+        &["spade", "--tsv", "0"][..],
+        &["spade", "--filter"][..],
+        &["fuzz", "5", "--iters", "1"][..],
+        &["fuzz", "--seed", "1", "--seed", "2", "--iters", "1"][..],
     ] {
-        let out = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-            .args(args)
-            .output()
-            .expect("binary runs");
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(
-            out.stdout.is_empty(),
-            "usage errors keep stdout clean: {args:?}"
-        );
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("USAGE"), "help on stderr for {args:?}: {err}");
+        assert_usage_error(args);
     }
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStrExt;
+        let bad = std::ffi::OsStr::from_bytes(b"\xff");
+        assert_usage_error(&["layout".as_ref(), "--seed".as_ref(), bad]);
+    }
+}
+
+fn assert_usage_error<S: AsRef<std::ffi::OsStr> + std::fmt::Debug>(args: &[S]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "usage errors keep stdout clean: {args:?}"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("USAGE"), "help on stderr for {args:?}: {err}");
 }
 
 #[test]
