@@ -241,7 +241,9 @@ pub struct SurveillanceReport {
 ///
 /// `knowledge` must contain `vmemmap_base` (to forge the `struct page`
 /// pointer). To stay stealthy the device restores the shared info before
-/// signalling the TX completion (§5.5).
+/// signalling the TX completion (§5.5). A `target` past the machine's
+/// memory, or one whose `struct page` address overflows, is
+/// [`DmaError::BadPfn`].
 pub fn surveil(
     tb: &mut Testbed,
     knowledge: &AttackerKnowledge,
@@ -252,7 +254,11 @@ pub fn surveil(
     let vmemmap = knowledge
         .vmemmap_base
         .ok_or(DmaError::MissingAttribute("vmemmap_base"))?;
-    let forged_page = vmemmap.raw() + target.raw() * dma_core::layout::STRUCT_PAGE_SIZE;
+    let forged_page = Some(target.raw())
+        .filter(|&pfn| pfn < tb.mem.num_pages())
+        .and_then(|pfn| pfn.checked_mul(dma_core::layout::STRUCT_PAGE_SIZE))
+        .and_then(|off| vmemmap.raw().checked_add(off))
+        .ok_or(DmaError::BadPfn(target.raw()))?;
 
     // Send a small UDP packet to a forwarded destination; forge the
     // frags during the RX window (before the stack reads them for TX).
@@ -325,4 +331,28 @@ pub fn surveil(
     // Stealth: undo the forgery before completing, then complete.
     let _ = tb.complete_all_tx();
     Ok(SurveillanceReport { stolen, target })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn surveil_rejects_frames_past_memory_and_overflowing_struct_pages() {
+        let mut tb = boot(WindowPath::UnmapAfterBuild, 77).unwrap();
+        let pages = tb.mem.num_pages();
+        let mut k = AttackerKnowledge {
+            vmemmap_base: Some(tb.mem.layout.vmemmap_base),
+            ..AttackerKnowledge::new()
+        };
+        for pfn in [pages, u64::MAX] {
+            let r = surveil(&mut tb, &k, Pfn(pfn), 0, 16);
+            assert!(matches!(r, Err(DmaError::BadPfn(p)) if p == pfn), "{pfn}");
+        }
+        // A frame in range whose struct page lies past the top of the
+        // address space.
+        k.vmemmap_base = Some(Kva(u64::MAX - 8));
+        let r = surveil(&mut tb, &k, Pfn(1), 0, 16);
+        assert!(matches!(r, Err(DmaError::BadPfn(1))), "{r:?}");
+    }
 }

@@ -10,7 +10,7 @@
 use crate::forward_thinking::surveil;
 use crate::kaslr::AttackerKnowledge;
 use devsim::Testbed;
-use dma_core::{Pfn, Result, PAGE_SIZE};
+use dma_core::{DmaError, Pfn, Result, PAGE_SIZE};
 
 /// A captured dump segment.
 #[derive(Clone, Debug)]
@@ -40,13 +40,23 @@ impl DumpReport {
 /// Dumps `frames` frames starting at `start` through the surveillance
 /// channel. Requires a forwarding-enabled testbed and complete KASLR
 /// knowledge (see [`crate::ringflood::break_kaslr`] and
-/// [`crate::forward_thinking::leak_vmemmap`]).
+/// [`crate::forward_thinking::leak_vmemmap`]). A range that does not
+/// fit in the machine's memory is [`DmaError::BadPfn`], naming its
+/// first frame past the end.
 pub fn dump_range(
     tb: &mut Testbed,
     knowledge: &AttackerKnowledge,
     start: Pfn,
     frames: usize,
 ) -> Result<DumpReport> {
+    // Inside memory, `frames * PAGE_SIZE` is at most the memory's size.
+    let pages = tb.mem.num_pages();
+    let end = u64::try_from(frames)
+        .ok()
+        .and_then(|n| start.raw().checked_add(n));
+    if end.is_none_or(|end| end > pages) {
+        return Err(DmaError::BadPfn(start.raw().max(pages)));
+    }
     let t0 = tb.ctx.clock.now();
     let mut bytes = Vec::with_capacity(frames * PAGE_SIZE);
     let mut failed_frames = Vec::new();
@@ -120,12 +130,34 @@ mod tests {
     #[test]
     fn dump_survives_unreadable_frames() {
         let (mut tb, k) = armed_testbed();
-        // Frames beyond physical memory fail; the dump records holes
-        // instead of aborting.
-        let max = tb.mem.layout.max_pfn();
-        let dump = dump_range(&mut tb, &k, Pfn(max.raw() - 1), 3).unwrap();
-        assert_eq!(dump.frames(), 3);
-        assert_eq!(dump.failed_frames.len(), 2);
+        // Without the vmemmap leak no frag can be forged, so every frame
+        // fails; the dump records holes instead of aborting.
+        let blind = AttackerKnowledge {
+            vmemmap_base: None,
+            ..k
+        };
+        let dump = dump_range(&mut tb, &blind, Pfn(0x400), 2).unwrap();
+        assert_eq!(dump.frames(), 2);
+        assert_eq!(dump.failed_frames, [Pfn(0x400), Pfn(0x401)]);
+    }
+
+    #[test]
+    fn dump_rejects_ranges_past_memory_before_reserving_them() {
+        let (mut tb, k) = armed_testbed();
+        let pages = tb.mem.num_pages();
+        // The last frame is in range; one more is not, and a frame
+        // count near usize::MAX neither reserves its bytes nor wraps.
+        let dump = dump_range(&mut tb, &k, Pfn(pages - 1), 1).unwrap();
+        assert_eq!(dump.frames(), 1);
+        for (start, frames) in [(pages - 1, 2), (pages, 1), (1, usize::MAX), (u64::MAX, 1)] {
+            assert!(
+                matches!(
+                    dump_range(&mut tb, &k, Pfn(start), frames),
+                    Err(DmaError::BadPfn(pfn)) if pfn == start.max(pages)
+                ),
+                "start {start}, {frames} frames"
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use crate::error::{DmaError, Result};
 use crate::fault::FaultPlan;
 use crate::jsonr::{parse, JValue};
 use crate::jsonw::JsonWriter;
-use crate::metrics::{Gauge, Histogram, Metrics, SpanAgg, HIST_BUCKETS};
+use crate::metrics::{Metrics, Snapshot};
 use crate::recorder::FlightRecorder;
 use crate::rng::DetRng;
 use crate::trace::Event;
@@ -643,58 +643,28 @@ pub fn metrics_to_json(m: &Metrics) -> String {
 }
 
 /// Inverse of [`metrics_to_json`]: rebuilds a registry whose own
-/// snapshot renders byte-identically to the serialized one. The span
-/// timeline is not part of the snapshot shape, so only aggregates and
-/// the `timeline_dropped` count survive (documented resume semantics).
+/// snapshot renders byte-identically to the serialized one. The shape is
+/// read by [`Snapshot::from_jvalue`], which rejects what no registry
+/// renders (a bucket bound that is not a power of two in range), and
+/// the names are interned. The span timeline is not part of the snapshot
+/// shape, so only aggregates and the `timeline_dropped` count survive
+/// (documented resume semantics).
 pub fn metrics_from_json(v: &JValue) -> Option<Metrics> {
+    let s = Snapshot::from_jvalue(v)?;
     let mut m = Metrics::new();
-    for (k, c) in v.get("counters")?.as_obj()? {
-        m.restore_counter(intern(k), c.as_u64()?);
+    for (k, c) in s.counters {
+        m.restore_counter(intern(&k), c);
     }
-    for (k, g) in v.get("gauges")?.as_obj()? {
-        m.restore_gauge(
-            intern(k),
-            Gauge {
-                value: g.u64_field("value")?,
-                min: g.u64_field("min")?,
-                max: g.u64_field("max")?,
-                sets: g.u64_field("sets")?,
-            },
-        );
+    for (k, g) in s.gauges {
+        m.restore_gauge(intern(&k), g);
     }
-    for (k, h) in v.get("histograms")?.as_obj()? {
-        let mut hist = Histogram {
-            buckets: [0; HIST_BUCKETS + 1],
-            count: h.u64_field("count")?,
-            sum: h.u64_field("sum")?,
-            max: h.u64_field("max")?,
-        };
-        for pair in h.get("buckets")?.as_arr()? {
-            let pair = pair.as_arr()?;
-            let bound = pair.first()?.as_u64()?;
-            let count = pair.get(1)?.as_u64()?;
-            // Bounds are powers of two (2^i -> bucket i); the overflow
-            // bucket is rendered with bound 0.
-            let idx = if bound == 0 {
-                HIST_BUCKETS
-            } else {
-                bound.trailing_zeros() as usize
-            };
-            hist.buckets[idx] = count;
-        }
-        m.restore_histogram(intern(k), hist);
+    for (k, h) in s.hists {
+        m.restore_histogram(intern(&k), h);
     }
-    for (k, s) in v.get("spans")?.as_obj()? {
-        m.restore_span_agg(
-            intern(k),
-            SpanAgg {
-                count: s.u64_field("count")?,
-                total_cycles: s.u64_field("total_cycles")?,
-                max_cycles: s.u64_field("max_cycles")?,
-            },
-        );
+    for (k, a) in s.spans {
+        m.restore_span_agg(intern(&k), a);
     }
-    m.restore_timeline_dropped(v.u64_field("timeline_dropped")?);
+    m.restore_timeline_dropped(s.timeline_dropped);
     Some(m)
 }
 

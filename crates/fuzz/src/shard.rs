@@ -38,7 +38,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use dma_core::checkpoint::shard_dir;
-use dma_core::{shard_seed, CoverageMap, DmaError, Result, Snapshot};
+use dma_core::{shard_seed, CheckpointStore, CoverageMap, DmaError, Result, Snapshot};
 
 use crate::campaign::{Campaign, CampaignConfig};
 use crate::exec::DEFAULT_WATCHDOG_BUDGET;
@@ -147,10 +147,22 @@ impl ShardedCampaign {
     }
 
     /// Resumes every shard from its newest valid checkpoint generation
-    /// (shards without one restart from iteration 0) and merges.
+    /// (shards without one restart from iteration 0) and merges. The
+    /// base seed is the campaign's, not the configured one: shard 0 runs
+    /// under the base seed, so its newest generation names it. Only when
+    /// shard 0 has no generation does the configured seed stand.
     pub fn resume(&self) -> Result<FuzzReport> {
-        let outcomes = self.run_shards(true)?;
-        self.merge(outcomes)
+        let seed = match &self.cfg.checkpoint_dir {
+            Some(base) => CheckpointStore::open(shard_dir(base, 0))?.load()?,
+            None => None,
+        }
+        .and_then(|newest| newest.payload.u64_field("seed"));
+        let resumed = ShardedCampaign::new(ShardConfig {
+            seed: seed.unwrap_or(self.cfg.seed),
+            ..self.cfg.clone()
+        });
+        let outcomes = resumed.run_shards(true)?;
+        resumed.merge(outcomes)
     }
 
     /// Runs the shards across the configured thread count and returns
@@ -200,6 +212,11 @@ impl ShardedCampaign {
         let cfg = self.shard_campaign_config(shard_id);
         let mut c = if resume && cfg.checkpoint_dir.is_some() {
             match Campaign::resume(cfg.clone()) {
+                // Shard 0 lost its generations and the configured seed is
+                // not the campaign's: never merge two campaigns.
+                Ok(c) if c.config().seed != cfg.seed => {
+                    return Err(DmaError::Invariant("shard checkpoint is from another seed"))
+                }
                 Ok(c) => c,
                 // A shard that never persisted a generation (killed
                 // before its first cadence) restarts from scratch.

@@ -727,6 +727,9 @@ fn cmd_serve(p: &Parsed) -> Outcome {
     if checkpoint_every > 0 && checkpoint_dir.is_none() {
         return usage("--checkpoint-every needs --checkpoint-dir");
     }
+    if p.has("transcript") && !p.has("script") {
+        return usage("--transcript needs --script");
+    }
     let cfg = ServeConfig {
         seed,
         iters,

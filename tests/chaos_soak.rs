@@ -15,9 +15,14 @@
 
 use dma_lab::devsim::chaos::{run_soak, SoakReport};
 
-/// Seeds for the soak matrix. 26 schedules ≥ the 24 the acceptance
-/// criteria require; a spread of small, large, and bit-pattern seeds.
-const SEEDS: [u64; 26] = [
+/// Seeds for the soak matrix: a spread of small, large, and bit-pattern
+/// seeds, then the two dozen-seed sweeps of `dma-lab chaos --seed 1000
+/// --runs 12` and `dma-lab chaos --seed 424242 --runs 12`.
+fn seeds() -> impl Iterator<Item = u64> {
+    SPREAD.into_iter().chain(1000..1012).chain(424_242..424_254)
+}
+
+const SPREAD: [u64; 26] = [
     1,
     2,
     3,
@@ -49,7 +54,7 @@ const SEEDS: [u64; 26] = [
 #[test]
 fn chaos_soak_survives_every_schedule_without_leaks() {
     let mut total_injected = 0u64;
-    for &seed in &SEEDS {
+    for seed in seeds() {
         let r = run_soak(seed)
             .unwrap_or_else(|e| panic!("seed {seed:#x}: stack failed to degrade: {e}"));
         assert!(
@@ -68,10 +73,10 @@ fn chaos_soak_survives_every_schedule_without_leaks() {
         total_injected += r.injected_total;
     }
     // Across the matrix the faults must be plentiful, not incidental.
+    let schedules = seeds().count() as u64;
     assert!(
-        total_injected >= SEEDS.len() as u64 * 2,
-        "only {total_injected} faults injected across {} schedules",
-        SEEDS.len()
+        total_injected >= schedules * 2,
+        "only {total_injected} faults injected across {schedules} schedules"
     );
 }
 

@@ -1,17 +1,28 @@
 //! End-to-end CLI tests: every subcommand runs, exits zero, and prints
 //! the paper-shaped output it promises.
 
-use std::process::Command;
+use dma_lab::dma_core::jsonr::{parse, JValue};
+use dma_lab::dma_core::Snapshot;
+use std::process::{Command, Output};
 
-fn run(args: &[&str]) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
+fn output(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_dma-lab"))
         .args(args)
         .output()
-        .expect("binary runs");
+        .expect("binary runs")
+}
+
+fn run(args: &[&str]) -> (i32, String) {
+    let out = output(args);
     (
         out.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&out.stdout).into_owned(),
     )
+}
+
+/// `doc` read by the lab's own JSON reader; `what` names it on failure.
+fn json(what: &str, doc: &str) -> JValue {
+    parse(doc).unwrap_or_else(|e| panic!("{what}: {e}\n{doc:.300}"))
 }
 
 #[test]
@@ -62,10 +73,7 @@ fn no_args_prints_help_and_exits_zero() {
 
 #[test]
 fn unknown_command_exits_two_with_help_on_stderr() {
-    let out = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-        .arg("frobnicate")
-        .output()
-        .expect("binary runs");
+    let out = output(&["frobnicate"]);
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown command 'frobnicate'"), "{err}");
@@ -155,9 +163,10 @@ fn unknown_attack_exits_nonzero() {
 
 #[test]
 fn fuzz_finds_the_planted_callback_exposure() {
-    // The pinned smoke campaign (also run by CI): seed 7, 24 iterations
-    // is enough to hit the seeded destructor_arg exposure.
-    let (code, out) = run(&["fuzz", "--seed", "7", "--iters", "24"]);
+    // The pinned campaign (seed 7, 96 iterations) rediscovers the seeded
+    // destructor_arg exposure through both §5.2 windows, and all four
+    // Figure-1 classes.
+    let (code, out) = run(&["fuzz", "--seed", "7", "--iters", "96"]);
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("coverage bits"), "{out}");
     assert!(
@@ -165,6 +174,17 @@ fn fuzz_finds_the_planted_callback_exposure() {
         "planted callback exposure not rediscovered:\n{out}"
     );
     assert!(out.contains("dkasan"), "oracle findings missing:\n{out}");
+    for class in ["a", "b", "c", "d"] {
+        assert!(out.contains(&format!("type ({class})")), "{class}:\n{out}");
+    }
+    assert!(
+        out.contains("window (i) unmap after sk_buff build"),
+        "{out}"
+    );
+    assert!(
+        out.contains("window (ii) deferred IOTLB invalidation"),
+        "{out}"
+    );
 }
 
 #[test]
@@ -187,6 +207,8 @@ fn fuzz_json_has_the_documented_schema() {
     ] {
         assert!(out.contains(key), "missing {key} in:\n{out}");
     }
+    let report = json("fuzz --json", &out);
+    assert_eq!(report.u64_field("execs"), Some(12));
 }
 
 #[test]
@@ -204,36 +226,46 @@ fn fuzz_usage_errors_exit_two() {
 fn fuzz_config_pins_every_exec_to_one_machine_shape() {
     // By id and by name resolve to the same machine, and the pinned
     // campaign's coverage proves only that shape ran: the config facet
-    // carries exactly one machine name.
-    let (code, by_id) = run(&[
-        "fuzz", "--seed", "7", "--iters", "12", "--config", "5", "--json",
-    ]);
-    assert_eq!(code, 0, "{by_id}");
-    let (code, by_name) = run(&[
-        "fuzz",
-        "--seed",
-        "7",
-        "--iters",
-        "12",
-        "--config",
-        "virtio-split-deferred",
-        "--json",
-    ]);
-    assert_eq!(code, 0);
-    assert_eq!(by_id, by_name, "id and name must select the same machine");
-    assert!(
-        by_id.contains("\"config\":\"virtio-split-deferred\""),
-        "{by_id}"
-    );
-    for other in ["pagefrag", "i40e", "nvme-qpair", "pageperbuffer"] {
-        assert!(!by_id.contains(other), "foreign shape leaked in:\n{by_id}");
+    // carries exactly one machine name. Each non-NIC device rediscovers
+    // Figure-1 classes (b) and (d) with no device-specific wiring.
+    use dma_lab::fuzz::{config_name, NUM_CONFIGS};
+    for (id, name) in [("5", "virtio-split-deferred"), ("7", "nvme-qpair-deferred")] {
+        let campaign = |config: &str, shards: &[&str]| {
+            let mut args = vec!["fuzz", "--seed", "7", "--iters", "48", "--config", config];
+            args.extend(shards);
+            args.push("--json");
+            let (code, out) = run(&args);
+            assert_eq!(code, 0, "{args:?}: {out}");
+            out
+        };
+        let by_id = campaign(id, &[]);
+        let by_name = campaign(name, &[]);
+        assert_eq!(by_id, by_name, "id and name must select the same machine");
+        let facets: Vec<&str> = by_id.split("\"config\":\"").skip(1).collect();
+        assert!(!facets.is_empty(), "{by_id}");
+        for facet in facets {
+            assert!(facet.starts_with(&format!("{name}\"")), "{facet:.60}");
+        }
+        for other in (0..NUM_CONFIGS).map(config_name).filter(|&n| n != name) {
+            assert!(!by_id.contains(other), "{other} leaked in:\n{by_id}");
+        }
+        let report = json(name, &by_id);
+        let findings = report.get("findings").and_then(JValue::as_arr);
+        let taxonomy: Vec<_> = findings
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|f| f.str_field("taxonomy"))
+            .collect();
+        for class in ["b", "d"] {
+            assert!(
+                taxonomy.contains(&class),
+                "{name}: no ({class}) in {taxonomy:?}"
+            );
+        }
+        // Sharded engine honors the restriction identically.
+        let sharded = campaign(id, &["--shards", "1"]);
+        assert_eq!(sharded, by_id, "1-shard output matches the legacy path");
     }
-    // Sharded engine honors the restriction identically.
-    let (code, sharded) = run(&[
-        "fuzz", "--seed", "7", "--iters", "12", "--config", "5", "--shards", "1", "--json",
-    ]);
-    assert_eq!(code, 0);
-    assert_eq!(sharded, by_id, "1-shard output matches the legacy path");
 }
 
 #[test]
@@ -246,8 +278,10 @@ fn infer_prints_one_deterministic_channel_map_per_config() {
         "one line per machine config:\n{all}"
     );
     for line in all.lines() {
-        assert!(
-            line.starts_with("{\"schema\":\"dma-infer.channel-map.v1\""),
+        let map = json("infer line", line);
+        assert_eq!(
+            map.str_field("schema"),
+            Some("dma-infer.channel-map.v1"),
             "{line}"
         );
     }
@@ -261,13 +295,17 @@ fn infer_prints_one_deterministic_channel_map_per_config() {
 
 #[test]
 fn forensics_renders_incident_timelines() {
-    let (code, out) = run(&["forensics", "--seed", "7", "--iters", "24"]);
+    let (code, out) = run(&["forensics", "--seed", "7", "--iters", "96"]);
     assert_eq!(code, 0, "{out}");
-    assert!(out.contains("incident [1]"), "{out}");
+    assert!(out.contains("incident [1] dk-"), "{out}");
     assert!(out.contains("taxonomy:"), "{out}");
+    assert!(out.contains("type (b)"), "{out}");
     assert!(out.contains("window:"), "{out}");
     assert!(out.contains("timeline:"), "{out}");
     assert!(out.contains("skb_shared_info.destructor_arg"), "{out}");
+    let (code, out) = run(&["forensics", "--seed", "7", "--iters", "96", "--json"]);
+    assert_eq!(code, 0, "{out}");
+    json("forensics --json", &out);
 }
 
 #[test]
@@ -293,8 +331,10 @@ fn trace_chrome_writes_a_trace_event_file() {
     assert_eq!(code, 0, "{out}");
     assert!(out.contains("ui.perfetto.dev"), "{out}");
     let body = std::fs::read_to_string(&path).expect("trace file written");
-    assert!(body.contains("\"traceEvents\":["), "{body:.200}");
-    assert!(body.contains("\"displayTimeUnit\""), "{body:.200}");
+    let trace = json("trace --chrome", &body);
+    let events = trace.get("traceEvents").and_then(JValue::as_arr);
+    assert!(events.is_some_and(|e| !e.is_empty()), "{body:.200}");
+    assert!(trace.get("displayTimeUnit").is_some(), "{body:.200}");
     std::fs::remove_file(&path).ok();
 }
 
@@ -303,9 +343,12 @@ fn fuzz_resume_roundtrip_is_byte_identical_to_uninterrupted() {
     // The CLI half of the kill-and-resume contract: a campaign
     // truncated at iteration 6 (the "kill"), resumed from its
     // checkpoint directory, must print the exact bytes an
-    // uninterrupted 12-iteration run prints.
+    // uninterrupted 12-iteration run prints — also after its newest
+    // generation is torn, which the A/B store survives by falling back
+    // to the older one.
     let dir = std::env::temp_dir().join(format!("dma-lab-cli-resume-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().unwrap();
     let (code, _) = run(&[
         "fuzz",
         "--seed",
@@ -315,25 +358,83 @@ fn fuzz_resume_roundtrip_is_byte_identical_to_uninterrupted() {
         "--checkpoint-every",
         "3",
         "--checkpoint-dir",
-        dir.to_str().unwrap(),
+        dir_arg,
         "--json",
     ]);
     assert_eq!(code, 0);
-    let (code, resumed) = run(&[
-        "fuzz",
-        "--iters",
-        "12",
-        "--resume",
-        dir.to_str().unwrap(),
-        "--json",
-    ]);
-    assert_eq!(code, 0);
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["gen-a.ckpt", "gen-b.ckpt"], "one flat A/B pair");
     let (code, uninterrupted) = run(&["fuzz", "--seed", "7", "--iters", "12", "--json"]);
     assert_eq!(code, 0);
+    let resume = || output(&["fuzz", "--iters", "12", "--resume", dir_arg, "--json"]);
+    let resumed = resume();
+    assert_eq!(resumed.status.code(), Some(0));
     assert_eq!(
-        resumed, uninterrupted,
+        String::from_utf8_lossy(&resumed.stdout),
+        uninterrupted,
         "resumed --json output diverged from the uninterrupted run"
     );
+
+    let newest = files
+        .iter()
+        .map(|f| dir.join(f))
+        .max_by_key(|p| {
+            let body = std::fs::read_to_string(p).unwrap();
+            let envelope = json("checkpoint", &body);
+            envelope.u64_field("sequence").unwrap()
+        })
+        .unwrap();
+    let body = std::fs::read(&newest).unwrap();
+    std::fs::write(&newest, &body[..512]).unwrap();
+    let recovered = resume();
+    assert_eq!(recovered.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&recovered.stdout), uninterrupted);
+    let err = String::from_utf8_lossy(&recovered.stderr);
+    assert!(err.contains("1 recovered"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sharded_resume_takes_the_campaign_seed_from_its_checkpoints() {
+    // A resume names no seed. Shard 0 runs under the base seed, so its
+    // newest generation supplies it, also to a shard that must restart
+    // because it lost its generations. When shard 0 lost them, the seed
+    // must be given, and a wrong one is an error, not a mixed campaign.
+    let dir = std::env::temp_dir().join(format!("dma-lab-cli-shard-seed-{}", std::process::id()));
+    let dir_arg = dir.to_str().unwrap();
+    let sharded = |args: &[&str]| run(&[&["fuzz", "--shards", "2"][..], args].concat());
+    let (code, uninterrupted) = sharded(&["--seed", "11", "--iters", "12", "--json"]);
+    assert_eq!(code, 0);
+    let resume = |seed: &[&str]| {
+        sharded(&[&["--iters", "12", "--resume", dir_arg, "--json"], seed].concat())
+    };
+    for lost in ["shard-0001", "shard-0000"] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let (code, _) = sharded(&[
+            "--seed",
+            "11",
+            "--iters",
+            "6",
+            "--checkpoint-every",
+            "3",
+            "--checkpoint-dir",
+            dir_arg,
+        ]);
+        assert_eq!(code, 0);
+        for slot in ["gen-a.ckpt", "gen-b.ckpt"] {
+            std::fs::remove_file(dir.join(lost).join(slot)).unwrap();
+        }
+        if lost == "shard-0000" {
+            assert_eq!(resume(&[]).0, 1, "resumed under the default seed");
+            assert_eq!(resume(&["--seed", "11"]), (0, uninterrupted.clone()));
+        } else {
+            assert_eq!(resume(&[]), (0, uninterrupted.clone()));
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -341,20 +442,17 @@ fn fuzz_resume_roundtrip_is_byte_identical_to_uninterrupted() {
 fn fuzz_plant_panic_quarantines_via_the_cli() {
     let dir = std::env::temp_dir().join(format!("dma-lab-cli-plant-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let result = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-        .args([
-            "fuzz",
-            "--seed",
-            "7",
-            "--iters",
-            "6",
-            "--plant-panic",
-            "2",
-            "--corpus-dir",
-            dir.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
+    let result = output(&[
+        "fuzz",
+        "--seed",
+        "7",
+        "--iters",
+        "6",
+        "--plant-panic",
+        "2",
+        "--corpus-dir",
+        dir.to_str().unwrap(),
+    ]);
     let (code, out) = (
         result.status.code().unwrap_or(-1),
         String::from_utf8_lossy(&result.stdout).into_owned(),
@@ -370,15 +468,19 @@ fn fuzz_plant_panic_quarantines_via_the_cli() {
     let quarantined: Vec<_> = std::fs::read_dir(dir.join("quarantine"))
         .expect("quarantine dir created")
         .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .map(|e| e.path())
         .collect();
-    assert!(
-        quarantined
-            .iter()
-            .any(|n| n.starts_with("dq-") && n.ends_with(".json")),
-        "{quarantined:?}"
-    );
+    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+    let name = quarantined[0].file_name().unwrap().to_string_lossy();
+    assert!(name.starts_with("dq-") && name.ends_with(".json"), "{name}");
+    let entry = std::fs::read_to_string(&quarantined[0]).unwrap();
+    assert_eq!(json(&name, &entry).str_field("kind"), Some("panic"));
     std::fs::remove_dir_all(&dir).ok();
+
+    // A planted runaway input trips the deterministic watchdog instead.
+    let (code, out) = run(&["fuzz", "--seed", "7", "--iters", "6", "--plant-hang", "2"]);
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("watchdog abort"), "{out}");
 }
 
 #[test]
@@ -398,6 +500,7 @@ fn hardened_arg_parsing_rejects_malformed_numbers_everywhere() {
         &["serve", "--iters", "0"][..],
         &["serve", "--port", "70000"][..],
         &["serve", "--checkpoint-every", "2"][..], // no dir
+        &["serve", "--transcript", "/nonexistent/t.jsonl"][..], // no script
         &["stats", "--diff"][..],                  // no dump paths
         // The machine matrix has NUM_CONFIGS entries; anything outside
         // it must be a usage error, never a modulo-wrapped alias.
@@ -501,6 +604,7 @@ fn profile_json_is_valid_speedscope() {
     ] {
         assert!(out.contains(key), "missing {key} in:\n{out}");
     }
+    json("profile --json", &out);
 }
 
 #[test]
@@ -557,10 +661,7 @@ fn bench_check_fails_on_a_planted_regression_and_malformed_files() {
         committed.replacen("\"device\":\"nic\"", "\"device\":\"nvme\"", 1),
     )
     .unwrap();
-    let result = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-        .args(["bench", "--check", planted.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
+    let result = output(&["bench", "--check", planted.to_str().unwrap()]);
     assert_eq!(result.status.code(), Some(1), "planted regression passes?");
     let out = String::from_utf8_lossy(&result.stdout);
     assert!(
@@ -578,10 +679,7 @@ fn bench_check_fails_on_a_planted_regression_and_malformed_files() {
         ("{\"report\":\"zoo\"}", "missing \"deterministic\""),
     ] {
         std::fs::write(&malformed, body).unwrap();
-        let result = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-            .args(["bench", "--check", malformed.to_str().unwrap()])
-            .output()
-            .expect("binary runs");
+        let result = output(&["bench", "--check", malformed.to_str().unwrap()]);
         assert_eq!(result.status.code(), Some(1), "{body}");
         let err = String::from_utf8_lossy(&result.stderr);
         assert!(err.contains(why), "{body}: {err}");
@@ -601,15 +699,12 @@ fn bench_check_fails_an_unknown_kind_and_still_checks_the_rest() {
     )
     .unwrap();
     let zoo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("BENCH_zoo.json");
-    let result = Command::new(env!("CARGO_BIN_EXE_dma-lab"))
-        .args([
-            "bench",
-            "--check",
-            unknown.to_str().unwrap(),
-            zoo.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
+    let result = output(&[
+        "bench",
+        "--check",
+        unknown.to_str().unwrap(),
+        zoo.to_str().unwrap(),
+    ]);
     assert_eq!(result.status.code(), Some(1), "an unknown kind must fail");
     let out = String::from_utf8_lossy(&result.stdout);
     let err = String::from_utf8_lossy(&result.stderr);
@@ -631,26 +726,46 @@ fn serve_scripted_sessions_are_byte_identical_across_runs() {
     std::fs::write(
         &script,
         "{\"req\":\"hello\"}\n{\"req\":\"step\",\"n\":32}\n{\"req\":\"stats\"}\n\
-         {\"req\":\"posture\"}\n{\"req\":\"shutdown\"}\n",
+         {\"req\":\"watch\",\"findings\":2}\n{\"req\":\"stats\",\"mode\":\"delta\"}\n\
+         {\"req\":\"health\"}\n{\"req\":\"posture\"}\n{\"req\":\"shutdown\"}\n",
     )
     .unwrap();
 
-    let session = || {
-        let (code, out) = run(&["serve", "--seed", "7", "--script", script.to_str().unwrap()]);
+    // Each session runs twice, printing and writing through
+    // --transcript. At two shards every stats frame merges the shards'
+    // snapshots.
+    let out = dir.join("transcript.jsonl");
+    for shards in ["1", "2"] {
+        let args = [
+            "serve",
+            "--seed",
+            "7",
+            "--shards",
+            shards,
+            "--script",
+            script.to_str().unwrap(),
+        ];
+        let (code, a) = run(&args);
         assert_eq!(code, 0);
-        out
-    };
-    let a = session();
-    let b = session();
-    assert_eq!(
-        a, b,
-        "two seeded scripted sessions must match byte-for-byte"
-    );
-    assert!(a.contains("\"frame\":\"hello\""), "{a}");
-    assert!(a.contains("\"frame\":\"finding\""), "{a}");
-    assert!(a.contains("\"frame\":\"posture\""), "{a}");
-    assert!(a.contains("stale-translation-window"), "{a}");
-    assert!(a.contains("\"frame\":\"bye\""), "{a}");
+        let (code, stdout) = run(&[&args[..], &["--transcript", out.to_str().unwrap()]].concat());
+        assert_eq!(code, 0);
+        assert!(stdout.is_empty(), "the transcript goes to the file");
+        let b = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(
+            a, b,
+            "two seeded scripted sessions must match byte-for-byte"
+        );
+        let frames: Vec<JValue> = a.lines().map(|l| json("transcript line", l)).collect();
+        let delta = frames
+            .iter()
+            .any(|f| f.str_field("frame") == Some("stats") && f.str_field("mode") == Some("delta"));
+        assert!(delta, "{shards} shard(s): no delta stats frame in\n{a}");
+        assert!(a.contains("\"frame\":\"hello\""), "{a}");
+        assert!(a.contains("\"frame\":\"finding\""), "{a}");
+        assert!(a.contains("\"frame\":\"posture\""), "{a}");
+        assert!(a.contains("stale-translation-window"), "{a}");
+        assert!(a.contains("\"frame\":\"bye\""), "{a}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -689,6 +804,24 @@ fn stats_diff_exits_one_only_on_counter_regressions() {
     ]);
     assert_eq!(code, 1, "{out}");
     assert!(out.contains("REGRESSED"), "{out}");
+
+    // A counter that vanished from the newer dump gates like a drop.
+    let mut snapshot = Snapshot::from_json(&std::fs::read_to_string(&new).unwrap()).unwrap();
+    let before = snapshot.counters.len();
+    snapshot
+        .counters
+        .retain(|(name, _)| name != "dkasan.events");
+    assert_eq!(snapshot.counters.len(), before - 1, "dkasan.events missing");
+    let missing = dir.join("missing.json");
+    std::fs::write(&missing, snapshot.to_json()).unwrap();
+    let (code, out) = run(&[
+        "stats",
+        "--diff",
+        old.to_str().unwrap(),
+        missing.to_str().unwrap(),
+    ]);
+    assert_eq!(code, 1, "{out}");
+    assert!(out.contains("MISSING"), "{out}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -3,7 +3,7 @@
 //! the A/B checkpoint store falling back past every corruption shape
 //! the model promises to survive (torn write, bit flip, version skew).
 
-use dma_lab::dma_core::checkpoint::SLOT_FILES;
+use dma_lab::dma_core::checkpoint::{fnv64, SLOT_FILES};
 use dma_lab::fuzz::{
     crash_id, kill_and_resume, Campaign, CampaignConfig, CrashKind, ExecContext, ExecStatus,
     FuzzInput, MutationOp, PLANT_HANG_BIT, PLANT_PANIC_BIT,
@@ -202,6 +202,36 @@ fn both_generations_corrupt_is_a_clean_resume_error() {
         }
     }
     assert!(Campaign::resume(cfg).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checksummed_generation_with_a_foreign_bucket_bound_is_a_resume_error() {
+    let dir = tmp("bucket-bound");
+    let cfg = killed_campaign(&dir);
+    // A crafted generation: its checksum matches, but a histogram bucket
+    // bound of 2^40 names a bucket past the registry's 32.
+    let newest = newest_slot(&dir);
+    let body = std::fs::read_to_string(&newest).unwrap();
+    let at = body.find(",\"payload\":").unwrap() + ",\"payload\":".len();
+    let payload = &body[at..body.len() - 1];
+    let metrics = payload.find("\"metrics\":").unwrap();
+    let bound = metrics + payload[metrics..].find("\"buckets\":[[").unwrap() + 12;
+    let bound_end = bound + payload[bound..].find(',').unwrap();
+    let crafted = format!(
+        "{}{}{}",
+        &payload[..bound],
+        1u64 << 40,
+        &payload[bound_end..]
+    );
+    let checksum = |p: &str| format!("\"checksum\":\"{:016x}\"", fnv64(p.as_bytes()));
+    let header = body[..at].replace(&checksum(payload), &checksum(&crafted));
+    std::fs::write(&newest, format!("{header}{crafted}}}")).unwrap();
+
+    let err = Campaign::resume(cfg)
+        .err()
+        .expect("the crafted generation resumed");
+    assert!(err.to_string().contains("malformed"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
